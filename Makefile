@@ -1,9 +1,9 @@
 # One-command tier-1 verification: build + tests (including the trace
 # determinism suite in test/test_obs.ml) + formatting check.
 
-.PHONY: check build test fmt fmt-fix bench bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke clean
+.PHONY: check build test fmt fmt-fix bench bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke perf-smoke clean
 
-check: build test fmt bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke
+check: build test fmt bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke perf-smoke
 
 build:
 	dune build @all
@@ -124,6 +124,15 @@ blackbox-smoke:
 	  | tee /tmp/blackbox-smoke.out
 	@grep -q "exemplar span tree" /tmp/blackbox-smoke.out \
 	  || { echo "blackbox-smoke: no exemplar resolved to a span tree"; exit 1; }
+
+# One-second runs of the routing-bound (wide) and member-count-bound
+# (deep) benchmark workloads.  weakset_perf exits nonzero when one of its
+# correctness checks fails (3: an iteration yielded the wrong elements,
+# 5: a replayed pass simulated differently), so a host-speed change that
+# alters behaviour fails here.
+perf-smoke:
+	dune exec perf/weakset_perf.exe -- --workload wide --seed 0 --seconds 1 > /dev/null
+	dune exec perf/weakset_perf.exe -- --workload deep --seed 0 --seconds 1 > /dev/null
 
 clean:
 	dune clean

@@ -4,16 +4,40 @@ type node = { x : float; y : float; mutable up : bool }
 
 type link = { mutable latency : float; mutable link_up : bool; mutable loss : float }
 
+(* Single-source shortest paths from one node: cheapest latency to every
+   destination and the survival probability of that same path. *)
+type route = { dist : float array; survival : float array }
+
 type t = {
   mutable node_tbl : node array; (* indexed by node id *)
   mutable count : int;
   links : (int * int, link) Hashtbl.t; (* key is ordered pair, lo first *)
   mutable watchers : (unit -> unit) list;
+  mutable adj : (int * float * float) array array option;
+      (* up subgraph as (neighbour, latency, loss) per node; None = stale *)
+  mutable routes : route option array; (* per source; [||] = all stale *)
 }
 
-let create () = { node_tbl = [||]; count = 0; links = Hashtbl.create 64; watchers = [] }
+let create () =
+  {
+    node_tbl = [||];
+    count = 0;
+    links = Hashtbl.create 64;
+    watchers = [];
+    adj = None;
+    routes = [||];
+  }
 
-let notify t = List.iter (fun f -> f ()) t.watchers
+(* Every mutation drops the derived tables; they are rebuilt lazily by the
+   next route query. *)
+let invalidate t =
+  t.adj <- None;
+  t.routes <- [||]
+
+(* Invalidate before the watchers run: they may query routes. *)
+let notify t =
+  invalidate t;
+  List.iter (fun f -> f ()) t.watchers
 
 let on_change t f = t.watchers <- t.watchers @ [ f ]
 
@@ -27,6 +51,8 @@ let add_node ?(x = 0.0) ?(y = 0.0) t =
   end;
   t.node_tbl.(t.count) <- { x; y; up = true };
   t.count <- t.count + 1;
+  (* Not a notify: adding a node never ran the watchers. *)
+  invalidate t;
   Nodeid.of_int (t.count - 1)
 
 let node t id =
@@ -41,6 +67,8 @@ let key a b =
 let add_link ?(loss = 0.0) t a b ~latency =
   if Nodeid.equal a b then invalid_arg "Topology.add_link: self-link";
   if loss < 0.0 || loss > 1.0 then invalid_arg "Topology.add_link: loss out of [0,1]";
+  if latency < 0.0 || not (Float.is_finite latency) then
+    invalid_arg "Topology.add_link: latency must be finite and non-negative";
   ignore (node t a);
   ignore (node t b);
   (match Hashtbl.find_opt t.links (key a b) with
@@ -77,77 +105,75 @@ let coordinates t id =
   let n = node t id in
   (n.x, n.y)
 
-let neighbours t i =
-  Hashtbl.fold
-    (fun (a, b) l acc ->
-      if not l.link_up then acc
-      else if a = i && t.node_tbl.(b).up then (b, l.latency, l.loss) :: acc
-      else if b = i && t.node_tbl.(a).up then (a, l.latency, l.loss) :: acc
-      else acc)
-    t.links []
-
-let reachable t a b =
-  let ai = Nodeid.to_int a and bi = Nodeid.to_int b in
-  if not ((node t a).up && (node t b).up) then false
-  else if ai = bi then true
-  else begin
-    let visited = Array.make t.count false in
-    let q = Queue.create () in
-    visited.(ai) <- true;
-    Queue.push ai q;
-    let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let i = Queue.pop q in
-      List.iter
-        (fun (j, _, _) ->
-          if j = bi then found := true
-          else if not visited.(j) then begin
-            visited.(j) <- true;
-            Queue.push j q
+let adjacency t =
+  match t.adj with
+  | Some adj -> adj
+  | None ->
+      let lists = Array.make t.count [] in
+      Hashtbl.iter
+        (fun (a, b) l ->
+          if l.link_up && t.node_tbl.(a).up && t.node_tbl.(b).up then begin
+            lists.(a) <- (b, l.latency, l.loss) :: lists.(a);
+            lists.(b) <- (a, l.latency, l.loss) :: lists.(b)
           end)
-        (neighbours t i)
-    done;
-    !found
-  end
+        t.links;
+      let adj = Array.map Array.of_list lists in
+      t.adj <- Some adj;
+      adj
 
-(* Dijkstra over the up subgraph: cheapest-latency path, with the survival
+(* Selection Dijkstra over the up subgraph from [src], run to completion.
+   Nodes settle smallest distance first, lowest index on ties; with
+   non-negative latencies a node's (dist, survival) is final once it
+   settles.  Each node relaxes each neighbour at most once, so the order
+   of an adjacency row does not matter. *)
+let dijkstra t src =
+  let adj = adjacency t in
+  let dist = Array.make t.count infinity in
+  let survival = Array.make t.count 1.0 in
+  let settled = Array.make t.count false in
+  dist.(src) <- 0.0;
+  let rec settle () =
+    let best = ref (-1) in
+    for i = 0 to t.count - 1 do
+      if (not settled.(i)) && dist.(i) < infinity && (!best = -1 || dist.(i) < dist.(!best))
+      then best := i
+    done;
+    let u = !best in
+    if u >= 0 then begin
+      settled.(u) <- true;
+      Array.iter
+        (fun (j, lat, loss) ->
+          if dist.(u) +. lat < dist.(j) then begin
+            dist.(j) <- dist.(u) +. lat;
+            survival.(j) <- survival.(u) *. (1.0 -. loss)
+          end)
+        adj.(u);
+      settle ()
+    end
+  in
+  settle ();
+  { dist; survival }
+
+let route_from t src =
+  if Array.length t.routes <> t.count then t.routes <- Array.make t.count None;
+  match t.routes.(src) with
+  | Some r -> r
+  | None ->
+      let r = dijkstra t src in
+      t.routes.(src) <- Some r;
+      r
+
+(* Cheapest-latency path over the up subgraph, with the survival
    probability (product of per-link 1 - loss) of that same path. *)
 let path_info t a b =
   let ai = Nodeid.to_int a and bi = Nodeid.to_int b in
   if not ((node t a).up && (node t b).up) then None
   else if ai = bi then Some (0.0, 1.0)
-  else begin
-    let dist = Array.make t.count infinity in
-    let survival = Array.make t.count 1.0 in
-    let settled = Array.make t.count false in
-    dist.(ai) <- 0.0;
-    let result = ref None in
-    (try
-       while true do
-         (* Pick the unsettled node with the smallest tentative distance. *)
-         let best = ref (-1) in
-         for i = 0 to t.count - 1 do
-           if (not settled.(i)) && dist.(i) < infinity
-              && (!best = -1 || dist.(i) < dist.(!best))
-           then best := i
-         done;
-         if !best = -1 then raise Exit;
-         if !best = bi then begin
-           result := Some (dist.(bi), survival.(bi));
-           raise Exit
-         end;
-         settled.(!best) <- true;
-         List.iter
-           (fun (j, lat, loss) ->
-             if dist.(!best) +. lat < dist.(j) then begin
-               dist.(j) <- dist.(!best) +. lat;
-               survival.(j) <- survival.(!best) *. (1.0 -. loss)
-             end)
-           (neighbours t !best)
-       done
-     with Exit -> ());
-    !result
-  end
+  else
+    let r = route_from t ai in
+    if r.dist.(bi) < infinity then Some (r.dist.(bi), r.survival.(bi)) else None
+
+let reachable t a b = Option.is_some (path_info t a b)
 
 let path_latency t a b = Option.map fst (path_info t a b)
 

@@ -4,20 +4,41 @@
     Reachability is computed over the subgraph of up nodes and up links;
     {!path_latency} is the cheapest-path latency (Dijkstra).  Mutators
     invoke all callbacks registered with {!on_change}, which is how the
-    fault injector broadcasts partition/heal events to waiting fibers. *)
+    fault injector broadcasts partition/heal events to waiting fibers.
+
+    {b Cost model.}  {!path_info}, {!path_latency} and {!reachable} are
+    answered from a per-source route table holding the cheapest latency
+    and its path's survival for every destination.  The first query from
+    a source after a mutation builds that source's table with one
+    selection Dijkstra over an adjacency array of the up subgraph (the
+    array itself is rebuilt once per mutation, in O(V+E)): O(V²+E) for
+    that source.  Every later query between mutations is O(1), so a
+    query costs amortised O(1) while the graph is unchanged.
+
+    Every mutator, {!add_node} included, drops all route tables; the
+    callbacks registered with {!on_change} run after the drop, so a
+    callback that queries routes sees the new graph.
+
+    {b Tie-break.}  Nodes settle in order of smallest latency, lowest
+    node index among equals, and a path is replaced only by a strictly
+    cheaper one.  Among equal-latency paths the reported survival is
+    therefore that of the path through the earliest-settled node, and
+    answers are a deterministic function of the graph. *)
 
 type t
 
 val create : unit -> t
 
 (** [add_node t ~x ~y ()] registers a node at coordinates [(x, y)] (used
-    only for "closest-first" distance hints; both default to 0). *)
+    only for "closest-first" distance hints; both default to 0).  It
+    drops the route tables but does not run the {!on_change} callbacks. *)
 val add_node : ?x:float -> ?y:float -> t -> Nodeid.t
 
 (** [add_link ?loss t a b ~latency] adds an undirected link that loses
     each message with probability [loss] (default 0).  Adding a link that
-    already exists replaces its latency and loss.  Self-links are
-    rejected. *)
+    already exists replaces its latency and loss.  Self-links, and
+    latencies that are negative or not finite, are rejected with
+    [Invalid_argument]. *)
 val add_link : ?loss:float -> t -> Nodeid.t -> Nodeid.t -> latency:float -> unit
 
 (** Loss probability of a direct link (1.0 if no such link). *)
@@ -62,7 +83,8 @@ val partition : t -> Nodeid.t list list -> unit
 (** Restores every node and link to up. *)
 val heal_all : t -> unit
 
-(** [on_change t f] registers [f] to run after every topology mutation. *)
+(** [on_change t f] registers [f] to run after every topology mutation
+    except {!add_node}. *)
 val on_change : t -> (unit -> unit) -> unit
 
 (** {1 Builders} *)

@@ -24,9 +24,10 @@ let detach t ~name =
 
 let set_enabled t b = t.enabled <- b
 let enabled t = t.enabled
+let active t = t.enabled && t.sinks <> []
 
 let emit t ~time kind =
-  if t.enabled && t.sinks <> [] then begin
+  if active t then begin
     let e = { Event.seq = t.seq; time; kind } in
     t.seq <- t.seq + 1;
     List.iter (fun (_, sink) -> sink e) t.sinks
@@ -44,7 +45,7 @@ let with_span_id t ~time ?node ?parent name f =
      thread it through RPC frames as the causal parent, and keeping the
      id sequence independent of sink attachment keeps runs comparable. *)
   let span = fresh_span t in
-  if not (t.enabled && t.sinks <> []) then f span
+  if not (active t) then f span
   else begin
     let t0 = time () in
     emit t ~time:t0 (Event.Span_start { span; parent; name; node });

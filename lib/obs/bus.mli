@@ -30,6 +30,12 @@ val set_enabled : t -> bool -> unit
 
 val enabled : t -> bool
 
+(** [active t] holds iff [emit] would deliver: the bus is enabled and at
+    least one sink is attached.  Hot emitters test it to skip building
+    an event payload nobody reads; an emit whose argument has a side
+    effect must not be guarded. *)
+val active : t -> bool
+
 (** [emit t ~time kind] stamps the event with the next sequence number
     and fans it out to all sinks.  No-op when disabled or no sinks. *)
 val emit : t -> time:float -> Event.kind -> unit

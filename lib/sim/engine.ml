@@ -47,7 +47,8 @@ let schedule t ~after action =
   if after < 0.0 then invalid_arg "Engine.schedule: negative delay";
   t.seq <- t.seq + 1;
   let at = t.now +. after in
-  Weakset_obs.Bus.emit t.bus ~time:t.now (Weakset_obs.Event.Sched { at });
+  if Weakset_obs.Bus.active t.bus then
+    Weakset_obs.Bus.emit t.bus ~time:t.now (Weakset_obs.Event.Sched { at });
   Pqueue.push t.heap { time = at; seq = t.seq; action }
 
 let sleep _t d = Effect.perform (Sleep d)
@@ -58,16 +59,19 @@ let suspend _t register = Effect.perform (Suspend register)
    events so a profiler can reconstruct per-fiber wait intervals.  Run
    slices have zero virtual duration (time only advances between queue
    pops), so the interesting payload is the *park reason* on Run_end:
-   it classifies the wait that follows. *)
+   it classifies the wait that follows.  Both are skipped outright when
+   nothing listens, so an unobserved run builds no payloads. *)
 let run_fiber t fid name body =
   let open Effect.Deep in
   let emit_begin () =
-    Weakset_obs.Bus.emit t.bus ~time:t.now
-      (Weakset_obs.Event.Run_begin { fid; fiber = name })
+    if Weakset_obs.Bus.active t.bus then
+      Weakset_obs.Bus.emit t.bus ~time:t.now
+        (Weakset_obs.Event.Run_begin { fid; fiber = name })
   in
   let emit_end park =
-    Weakset_obs.Bus.emit t.bus ~time:t.now
-      (Weakset_obs.Event.Run_end { fid; fiber = name; park })
+    if Weakset_obs.Bus.active t.bus then
+      Weakset_obs.Bus.emit t.bus ~time:t.now
+        (Weakset_obs.Event.Run_end { fid; fiber = name; park })
   in
   t.live <- t.live + 1;
   let retc () =
@@ -87,9 +91,10 @@ let run_fiber t fid name body =
         Some
           (fun k ->
             let d = Float.max 0.0 d in
-            emit_end
-              (if d = 0.0 then Weakset_obs.Event.Park_yield
-               else Weakset_obs.Event.Park_sleep (t.now +. d));
+            if Weakset_obs.Bus.active t.bus then
+              emit_end
+                (if d = 0.0 then Weakset_obs.Event.Park_yield
+                 else Weakset_obs.Event.Park_sleep (t.now +. d));
             schedule t ~after:d (fun () ->
                 emit_begin ();
                 continue k ()))

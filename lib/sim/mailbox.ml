@@ -1,18 +1,16 @@
 type 'a waiter = { mutable alive : bool; deliver : 'a -> unit }
 
-type 'a t = { queue : 'a Queue.t; mutable waiters : 'a waiter list (* newest first *) }
+type 'a t = { queue : 'a Queue.t; waiters : 'a waiter Queue.t (* oldest first *) }
 
-let create () = { queue = Queue.create (); waiters = [] }
+let create () = { queue = Queue.create (); waiters = Queue.create () }
 
 let length mb = Queue.length mb.queue
 
 (* Pop the oldest still-alive waiter, discarding dead (timed-out) ones. *)
 let rec pop_waiter mb =
-  match List.rev mb.waiters with
-  | [] -> None
-  | oldest :: _ ->
-      mb.waiters <- List.filter (fun w -> w != oldest) mb.waiters;
-      if oldest.alive then Some oldest else pop_waiter mb
+  match Queue.take_opt mb.waiters with
+  | None -> None
+  | Some w -> if w.alive then Some w else pop_waiter mb
 
 let send _eng mb msg =
   match pop_waiter mb with
@@ -27,7 +25,7 @@ let recv eng mb =
   | None ->
       Engine.suspend eng (fun resume ->
           let w = { alive = true; deliver = (fun msg -> resume (Ok msg)) } in
-          mb.waiters <- w :: mb.waiters)
+          Queue.push w mb.waiters)
 
 let recv_timeout eng mb d =
   match Queue.take_opt mb.queue with
@@ -35,7 +33,7 @@ let recv_timeout eng mb d =
   | None ->
       Engine.suspend eng (fun resume ->
           let w = { alive = true; deliver = (fun msg -> resume (Ok (Some msg))) } in
-          mb.waiters <- w :: mb.waiters;
+          Queue.push w mb.waiters;
           Engine.schedule eng ~after:d (fun () ->
               if w.alive then begin
                 w.alive <- false;

@@ -674,6 +674,238 @@ let prop_path_latency_implies_reachable =
             (Topology.nodes topo))
         (Topology.nodes topo))
 
+(* ------------------------------------------------------------------ *)
+(* Route cache equivalence                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* A mirror of the graph kept by the test, and the uncached routing that
+   Topology used before it cached per-source route tables: a BFS for
+   reachability, and a selection Dijkstra that rescans every link per
+   settled node and stops at the destination.  The cached answers must
+   equal these exactly, latency and survival bits included. *)
+module Reference = struct
+  type link = { lat : float; loss : float; mutable lup : bool }
+  type t = { mutable up : bool array; links : (int * int, link) Hashtbl.t }
+
+  let key a b = if a < b then (a, b) else (b, a)
+  let count m = Array.length m.up
+
+  let neighbours m i =
+    Hashtbl.fold
+      (fun (a, b) l acc ->
+        if not l.lup then acc
+        else if a = i && m.up.(b) then (b, l.lat, l.loss) :: acc
+        else if b = i && m.up.(a) then (a, l.lat, l.loss) :: acc
+        else acc)
+      m.links []
+
+  let reachable m a b =
+    if not (m.up.(a) && m.up.(b)) then false
+    else if a = b then true
+    else begin
+      let visited = Array.make (count m) false in
+      let q = Queue.create () in
+      visited.(a) <- true;
+      Queue.push a q;
+      let found = ref false in
+      while (not !found) && not (Queue.is_empty q) do
+        List.iter
+          (fun (j, _, _) ->
+            if j = b then found := true
+            else if not visited.(j) then begin
+              visited.(j) <- true;
+              Queue.push j q
+            end)
+          (neighbours m (Queue.pop q))
+      done;
+      !found
+    end
+
+  let path_info m a b =
+    if not (m.up.(a) && m.up.(b)) then None
+    else if a = b then Some (0.0, 1.0)
+    else begin
+      let n = count m in
+      let dist = Array.make n infinity and survival = Array.make n 1.0 in
+      let settled = Array.make n false in
+      dist.(a) <- 0.0;
+      let result = ref None in
+      (try
+         while true do
+           let best = ref (-1) in
+           for i = 0 to n - 1 do
+             if (not settled.(i)) && dist.(i) < infinity
+                && (!best = -1 || dist.(i) < dist.(!best))
+             then best := i
+           done;
+           if !best = -1 then raise Exit;
+           if !best = b then begin
+             result := Some (dist.(b), survival.(b));
+             raise Exit
+           end;
+           settled.(!best) <- true;
+           List.iter
+             (fun (j, lat, loss) ->
+               if dist.(!best) +. lat < dist.(j) then begin
+                 dist.(j) <- dist.(!best) +. lat;
+                 survival.(j) <- survival.(!best) *. (1.0 -. loss)
+               end)
+             (neighbours m !best)
+         done
+       with Exit -> ());
+      !result
+    end
+end
+
+(* Mutate the topology and its mirror in lockstep. *)
+let mirror_add_link topo (m : Reference.t) a b ~lat ~loss =
+  Topology.add_link ~loss topo (Nodeid.of_int a) (Nodeid.of_int b) ~latency:lat;
+  match Hashtbl.find_opt m.links (Reference.key a b) with
+  | Some l -> Hashtbl.replace m.links (Reference.key a b) { l with lat; loss }
+  | None -> Hashtbl.replace m.links (Reference.key a b) { Reference.lat; loss; lup = true }
+
+let mirror_of_builder topo ~lat =
+  let n = Topology.node_count topo in
+  let m = { Reference.up = Array.make n true; links = Hashtbl.create 64 } in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      if Topology.has_link topo (Nodeid.of_int a) (Nodeid.of_int b) then
+        Hashtbl.replace m.links (a, b) { Reference.lat; loss = 0.0; lup = true }
+    done
+  done;
+  m
+
+(* Latencies and losses come from small sets so equal-cost paths with
+   different survival are common: that is where settle order shows. *)
+let pick rs arr = arr.(Random.State.int rs (Array.length arr))
+let latencies = [| 0.5; 1.0; 1.5; 2.0; 3.0 |]
+let losses = [| 0.0; 0.0; 0.1; 0.25; 0.5 |]
+
+let random_topology rs =
+  let topo = Topology.create () in
+  let n = 2 + Random.State.int rs 9 in
+  let lat = pick rs latencies in
+  match Random.State.int rs 4 with
+  | 0 ->
+      ignore (Topology.clique topo n ~latency:lat);
+      (topo, mirror_of_builder topo ~lat)
+  | 1 ->
+      ignore (Topology.star topo n ~latency:lat);
+      (topo, mirror_of_builder topo ~lat)
+  | 2 ->
+      ignore (Topology.line topo n ~latency:lat);
+      (topo, mirror_of_builder topo ~lat)
+  | _ ->
+      let rng = Rng.create (Random.State.int64 rs Int64.max_int) in
+      ignore (Topology.wan topo ~rng ~nodes:n ~extra_links:(Random.State.int rs n));
+      (* wan latencies follow coordinates; re-add every link with a
+         drawn latency and loss so the mirror knows them. *)
+      let m = mirror_of_builder topo ~lat in
+      Hashtbl.iter
+        (fun (a, b) _ -> mirror_add_link topo m a b ~lat:(pick rs latencies) ~loss:(pick rs losses))
+        (Hashtbl.copy m.links);
+      (topo, m)
+
+let agrees topo m a b =
+  let na = Nodeid.of_int a and nb = Nodeid.of_int b in
+  Topology.path_info topo na nb = Reference.path_info m a b
+  && Topology.reachable topo na nb = Reference.reachable m a b
+
+let all_pairs_agree topo m =
+  let n = Reference.count m in
+  List.for_all (fun a -> List.for_all (agrees topo m a) (List.init n Fun.id)) (List.init n Fun.id)
+
+let random_mutation rs topo (m : Reference.t) =
+  let n = Reference.count m in
+  let node () = Random.State.int rs n in
+  match Random.State.int rs 7 with
+  | 0 ->
+      let i = node () and up = Random.State.int rs 3 > 0 in
+      Topology.set_node_up topo (Nodeid.of_int i) up;
+      m.up.(i) <- up
+  | 1 -> (
+      let a = node () and b = node () in
+      match Hashtbl.find_opt m.links (Reference.key a b) with
+      | Some l ->
+          let up = Random.State.bool rs in
+          Topology.set_link_up topo (Nodeid.of_int a) (Nodeid.of_int b) up;
+          l.lup <- up
+      | None -> ())
+  | 2 ->
+      (* Group 3 is the implicit leftover group. *)
+      let group = Array.init n (fun _ -> Random.State.int rs 4) in
+      let groups =
+        List.init 3 (fun g ->
+            List.filter_map
+              (fun i -> if group.(i) = g then Some (Nodeid.of_int i) else None)
+              (List.init n Fun.id))
+      in
+      Topology.partition topo groups;
+      let g i = if group.(i) = 3 then -1 else group.(i) in
+      Hashtbl.iter (fun (a, b) l -> l.Reference.lup <- g a = g b) m.links
+  | 3 ->
+      Topology.heal_all topo;
+      Array.fill m.up 0 n true;
+      Hashtbl.iter (fun _ l -> l.Reference.lup <- true) m.links
+  | 4 | 5 ->
+      (* Often an existing link: re-adding replaces latency and loss. *)
+      let a = node () and b = node () in
+      if a <> b then mirror_add_link topo m a b ~lat:(pick rs latencies) ~loss:(pick rs losses)
+  | _ ->
+      ignore (Topology.add_node topo);
+      m.up <- Array.append m.up [| true |]
+
+let prop_route_cache_matches_reference =
+  QCheck.Test.make ~name:"cached routes equal the uncached Dijkstra and BFS" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let topo, m = random_topology rs in
+      let ok = ref (all_pairs_agree topo m) in
+      for _ = 1 to 30 do
+        random_mutation rs topo m;
+        (* Mostly single queries, so some sources hold cached tables and
+           others none when the next mutation lands. *)
+        let n = Reference.count m in
+        if Random.State.int rs 4 = 0 then ok := !ok && all_pairs_agree topo m
+        else ok := !ok && agrees topo m (Random.State.int rs n) (Random.State.int rs n)
+      done;
+      !ok && all_pairs_agree topo m)
+
+(* A route table cached before add_node is one entry short; the new node
+   must be answered from a fresh table, not the stale one. *)
+let test_route_cache_add_node_after_query () =
+  let topo = Topology.create () in
+  let ids = Topology.line topo 3 ~latency:1.0 in
+  check_bool "warm cache" true (Topology.reachable topo ids.(0) ids.(2));
+  let fresh = Topology.add_node topo in
+  check_bool "isolated new node unreachable" false (Topology.reachable topo ids.(0) fresh);
+  check_bool "no path to new node" true (Topology.path_info topo ids.(0) fresh = None);
+  check_bool "new node reaches itself" true (Topology.path_info topo fresh fresh = Some (0.0, 1.0));
+  Topology.add_link ~loss:0.5 topo ids.(2) fresh ~latency:2.0;
+  check_bool "linked new node" true (Topology.path_info topo ids.(0) fresh = Some (4.0, 0.5))
+
+(* Rpc's failure detector and Fault's signal query routes from inside
+   on_change callbacks: they must see the graph after the mutation. *)
+let test_route_cache_fresh_inside_watchers () =
+  let topo, a, b, c = line3 () in
+  let seen = ref [] in
+  Topology.on_change topo (fun () -> seen := Topology.reachable topo a c :: !seen);
+  check_bool "warm cache" true (Topology.reachable topo a c);
+  Topology.set_link_up topo b c false;
+  Topology.set_link_up topo b c true;
+  Alcotest.(check (list bool)) "callbacks see the mutated graph" [ true; false ] !seen
+
+let test_topology_latency_validated () =
+  let topo = Topology.create () in
+  let a = Topology.add_node topo and b = Topology.add_node topo in
+  let bad = Invalid_argument "Topology.add_link: latency must be finite and non-negative" in
+  List.iter
+    (fun latency ->
+      Alcotest.check_raises "bad latency" bad (fun () -> Topology.add_link topo a b ~latency))
+    [ -1.0; infinity; nan ];
+  check_bool "no link added" false (Topology.has_link topo a b)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -694,7 +926,17 @@ let () =
         :: Alcotest.test_case "on_change" `Quick test_topology_on_change
         :: Alcotest.test_case "builders" `Quick test_topology_builders
         :: Alcotest.test_case "wan connected" `Quick test_topology_wan_connected
-        :: qcheck [ prop_reachability_symmetric; prop_path_latency_implies_reachable ] );
+        :: Alcotest.test_case "route cache: add_node after query" `Quick
+             test_route_cache_add_node_after_query
+        :: Alcotest.test_case "route cache: fresh inside on_change" `Quick
+             test_route_cache_fresh_inside_watchers
+        :: Alcotest.test_case "latency validated" `Quick test_topology_latency_validated
+        :: qcheck
+             [
+               prop_reachability_symmetric;
+               prop_path_latency_implies_reachable;
+               prop_route_cache_matches_reference;
+             ] );
       ( "transport",
         [
           Alcotest.test_case "delivery latency" `Quick test_transport_delivery_latency;

@@ -516,6 +516,30 @@ let test_mailbox_timeout_then_send_not_lost () =
   Alcotest.(check (option int)) "first timed out" None !first;
   Alcotest.(check (option int)) "second got message" (Some 42) !second
 
+let test_mailbox_skips_dead_waiters () =
+  (* Receivers 1 and 3 time out before anything is sent; the sends must
+     go to the oldest live receivers (2 then 4) and the third message
+     must stay queued. *)
+  let eng = Engine.create () in
+  let mb = Mailbox.create () in
+  let got = ref [] in
+  for i = 1 to 4 do
+    Engine.spawn eng (fun () ->
+        let v =
+          if i mod 2 = 1 then Mailbox.recv_timeout eng mb 1.0 else Some (Mailbox.recv eng mb)
+        in
+        got := (i, v) :: !got)
+  done;
+  Engine.spawn eng (fun () ->
+      Engine.sleep eng 2.0;
+      List.iter (Mailbox.send eng mb) [ 10; 20; 30 ]);
+  Engine.run_and_check eng;
+  Alcotest.(check (list (pair int (option int))))
+    "dead waiters skipped, live ones served oldest first"
+    [ (1, None); (3, None); (2, Some 10); (4, Some 20) ]
+    (List.rev !got);
+  check_int "third message queued" 1 (Mailbox.length mb)
+
 let test_mailbox_try_recv () =
   let eng = Engine.create () in
   let mb = Mailbox.create () in
@@ -753,6 +777,7 @@ let () =
           Alcotest.test_case "timeout" `Quick test_mailbox_timeout;
           Alcotest.test_case "timeout then send not lost" `Quick
             test_mailbox_timeout_then_send_not_lost;
+          Alcotest.test_case "skips dead waiters" `Quick test_mailbox_skips_dead_waiters;
           Alcotest.test_case "try_recv" `Quick test_mailbox_try_recv;
         ] );
       ( "stats",
