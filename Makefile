@@ -125,14 +125,17 @@ blackbox-smoke:
 	@grep -q "exemplar span tree" /tmp/blackbox-smoke.out \
 	  || { echo "blackbox-smoke: no exemplar resolved to a span tree"; exit 1; }
 
-# One-second runs of the routing-bound (wide) and member-count-bound
-# (deep) benchmark workloads.  weakset_perf exits nonzero when one of its
-# correctness checks fails (3: an iteration yielded the wrong elements,
-# 5: a replayed pass simulated differently), so a host-speed change that
-# alters behaviour fails here.
+# One-second runs of the routing-bound (wide), member-count-bound (deep)
+# and replicated-directory (failover) benchmark workloads.  weakset_perf
+# exits nonzero when one of its correctness checks fails (3: an iteration
+# yielded the wrong elements, 4: a failover scenario row failed, 5: a
+# replayed pass simulated differently, digests included), so a host-speed
+# change that alters behaviour fails here.  failover attaches a digest to
+# every row, so it also runs the canonical event writer.
 perf-smoke:
 	dune exec perf/weakset_perf.exe -- --workload wide --seed 0 --seconds 1 > /dev/null
 	dune exec perf/weakset_perf.exe -- --workload deep --seed 0 --seconds 1 > /dev/null
+	dune exec perf/weakset_perf.exe -- --workload failover --seed 0 --seconds 1 > /dev/null
 
 clean:
 	dune clean

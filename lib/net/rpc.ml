@@ -239,7 +239,7 @@ let handle_frame t node (env : ('req, 'resp) frame Transport.envelope) =
                       Some (adm, cpu)
                 in
                 Engine.spawn eng
-                  ~name:(Printf.sprintf "rpc-handler-%s-%d" (Nodeid.to_string node) id)
+                  ~name:("rpc-handler-" ^ Nodeid.to_string node ^ "-" ^ string_of_int id)
                   (fun () ->
                     Bus.with_span_id (bus t)
                       ~time:(fun () -> Engine.now eng)

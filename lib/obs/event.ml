@@ -138,213 +138,451 @@ let label = function
   | Spec_violation _ -> "spec-violation"
   | Custom { label; _ } -> label
 
-(* Exact, locale-independent float rendering: hex notation round-trips
-   every finite double, so canonical strings are injective on time and
-   duration fields. *)
-let hexf f = Printf.sprintf "%h" f
-let node_str n = "n" ^ string_of_int n
-let opt_int_str = function None -> "-" | Some i -> string_of_int i
+(* --- writers ---------------------------------------------------------
 
-let elem_string e = Printf.sprintf "%d:%s" e.elem_id e.elem_label
+   Every rendering appends straight into a caller-owned [Buffer.t]: the
+   digest feeds one event per bus emit, so these run on the hot path and
+   avoid intermediate strings (JSON's decimal floats aside). *)
 
-let elems_string es = String.concat "," (List.map elem_string es)
+let add = Buffer.add_string
+let addc = Buffer.add_char
 
-let park_string = function
-  | Park_sleep wake -> "sleep until=" ^ hexf wake
-  | p -> park_base p
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  addc b (Char.unsafe_chr (48 + (n mod 10)))
 
-let detail = function
-  | Fiber_spawn { fid; fiber } -> Printf.sprintf "spawn #%d %s" fid fiber
-  | Run_begin { fid; fiber } -> Printf.sprintf "begin #%d %s" fid fiber
-  | Run_end { fid; fiber; park } ->
-      Printf.sprintf "end #%d %s %s" fid fiber (park_string park)
-  | Fiber_crash { fiber; exn_text } -> fiber ^ ": " ^ exn_text
-  | Sched { at } -> "at=" ^ hexf at
-  | Fault_node_crash { node } -> "crash " ^ node_str node
-  | Fault_node_recover { node } -> "recover " ^ node_str node
-  | Fault_link_cut { a; b } -> "cut " ^ node_str a ^ "-" ^ node_str b
-  | Fault_link_heal { a; b } -> "heal " ^ node_str a ^ "-" ^ node_str b
-  | Fault_partition -> "partition"
-  | Fault_heal_all -> "heal-all"
+(* [string_of_int], without the intermediate string. *)
+let add_int b n = if n >= 0 then add_digits b n else add b (string_of_int n)
+
+let hex_digit d = String.unsafe_get "0123456789abcdef" d
+
+(* Exact, locale-independent float rendering, byte-for-byte what
+   [Printf.sprintf "%h"] prints: sign, then [infinity] / [nan], or
+   [0x] with the leading bit, the 52-bit fraction as hex digits with
+   trailing zeros dropped, and a signed binary exponent (-1022 for
+   subnormals).  Hex round-trips every finite double, so canonical
+   strings are injective on time and duration fields. *)
+let add_hexf b f =
+  let bits = Int64.bits_of_float f in
+  if Int64.compare bits 0L < 0 then addc b '-';
+  let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+  let frac = Int64.to_int bits land 0xf_ffff_ffff_ffff in
+  if biased = 0x7ff then add b (if frac = 0 then "infinity" else "nan")
+  else begin
+    add b (if biased = 0 then "0x0" else "0x1");
+    if frac <> 0 then begin
+      addc b '.';
+      let m = ref frac in
+      while !m <> 0 do
+        addc b (hex_digit (!m lsr 48));
+        m := (!m lsl 4) land 0xf_ffff_ffff_ffff
+      done
+    end;
+    let exp = if biased = 0 then if frac = 0 then 0 else -1022 else biased - 1023 in
+    add b (if exp >= 0 then "p+" else "p");
+    add_int b exp
+  end
+
+let add_node b n =
+  addc b 'n';
+  add_int b n
+
+let add_opt_int b = function None -> addc b '-' | Some i -> add_int b i
+
+let add_elem b e =
+  add_int b e.elem_id;
+  addc b ':';
+  add b e.elem_label
+
+let add_elems b es =
+  List.iteri
+    (fun i e ->
+      if i > 0 then addc b ',';
+      add_elem b e)
+    es
+
+let add_at_node b = function
+  | None -> ()
+  | Some n ->
+      add b " @";
+      add_node b n
+
+(* [src->dst] of a network or RPC event. *)
+let add_link b src dst =
+  add_node b src;
+  add b "->";
+  add_node b dst
+
+(* [verb #fid fiber] of a fiber event. *)
+let add_fiber b verb fid fiber =
+  add b verb;
+  add_int b fid;
+  addc b ' ';
+  add b fiber
+
+(* [verb na-nb] of a link fault. *)
+let add_link_fault b verb x y =
+  add b verb;
+  add_node b x;
+  addc b '-';
+  add_node b y
+
+(* [kind#id @node] of a cache event. *)
+let add_cache_entry b ckind id node =
+  add b (cache_kind_string ckind);
+  addc b '#';
+  add_int b id;
+  add b " @";
+  add_node b node
+
+let write_detail b = function
+  | Fiber_spawn { fid; fiber } -> add_fiber b "spawn #" fid fiber
+  | Run_begin { fid; fiber } -> add_fiber b "begin #" fid fiber
+  | Run_end { fid; fiber; park } -> (
+      add_fiber b "end #" fid fiber;
+      addc b ' ';
+      match park with
+      | Park_sleep wake ->
+          add b "sleep until=";
+          add_hexf b wake
+      | p -> add b (park_base p))
+  | Fiber_crash { fiber; exn_text } ->
+      add b fiber;
+      add b ": ";
+      add b exn_text
+  | Sched { at } ->
+      add b "at=";
+      add_hexf b at
+  | Fault_node_crash { node } ->
+      add b "crash ";
+      add_node b node
+  | Fault_node_recover { node } ->
+      add b "recover ";
+      add_node b node
+  | Fault_link_cut { a; b = b' } -> add_link_fault b "cut " a b'
+  | Fault_link_heal { a; b = b' } -> add_link_fault b "heal " a b'
+  | Fault_partition -> add b "partition"
+  | Fault_heal_all -> add b "heal-all"
   | Net_send { src; dst; lc } ->
-      Printf.sprintf "send %s->%s lc=%d" (node_str src) (node_str dst) lc
+      add b "send ";
+      add_link b src dst;
+      add b " lc=";
+      add_int b lc
   | Net_deliver { src; dst; sent_at; send_lc; lc } ->
-      Printf.sprintf "deliver %s->%s sent=%s slc=%d lc=%d" (node_str src)
-        (node_str dst) (hexf sent_at) send_lc lc
+      add b "deliver ";
+      add_link b src dst;
+      add b " sent=";
+      add_hexf b sent_at;
+      add b " slc=";
+      add_int b send_lc;
+      add b " lc=";
+      add_int b lc
   | Net_drop { src; dst; reason } ->
-      Printf.sprintf "drop %s->%s %s" (node_str src) (node_str dst)
-        (drop_reason_string reason)
+      add b "drop ";
+      add_link b src dst;
+      addc b ' ';
+      add b (drop_reason_string reason)
   | Rpc_call { src; dst; id; lc; parent } ->
-      Printf.sprintf "call#%d %s->%s lc=%d parent=%s" id (node_str src)
-        (node_str dst) lc (opt_int_str parent)
+      add b "call#";
+      add_int b id;
+      addc b ' ';
+      add_link b src dst;
+      add b " lc=";
+      add_int b lc;
+      add b " parent=";
+      add_opt_int b parent
   | Rpc_done { src; dst; id; outcome; lc } ->
-      Printf.sprintf "done#%d %s->%s %s lc=%d" id (node_str src) (node_str dst)
-        (rpc_outcome_string outcome) lc
+      add b "done#";
+      add_int b id;
+      addc b ' ';
+      add_link b src dst;
+      addc b ' ';
+      add b (rpc_outcome_string outcome);
+      add b " lc=";
+      add_int b lc
   | Span_start { span; parent; name; node } ->
-      Printf.sprintf "start#%d %s%s parent=%s" span name
-        (match node with None -> "" | Some n -> " @" ^ node_str n)
-        (opt_int_str parent)
+      add b "start#";
+      add_int b span;
+      addc b ' ';
+      add b name;
+      add_at_node b node;
+      add b " parent=";
+      add_opt_int b parent
   | Span_end { span; name; node; dur } ->
-      Printf.sprintf "end#%d %s%s dur=%s" span name
-        (match node with None -> "" | Some n -> " @" ^ node_str n)
-        (hexf dur)
+      add b "end#";
+      add_int b span;
+      addc b ' ';
+      add b name;
+      add_at_node b node;
+      add b " dur=";
+      add_hexf b dur
   | Store_op { node; op; parent } ->
-      Printf.sprintf "%s @%s parent=%s" op (node_str node) (opt_int_str parent)
+      add b op;
+      add b " @";
+      add_node b node;
+      add b " parent=";
+      add_opt_int b parent
   | Cache_hit { node; ckind; id; version; age } ->
-      Printf.sprintf "hit %s#%d @%s v=%d age=%s" (cache_kind_string ckind) id
-        (node_str node) version (hexf age)
+      add b "hit ";
+      add_cache_entry b ckind id node;
+      add b " v=";
+      add_int b version;
+      add b " age=";
+      add_hexf b age
   | Cache_miss { node; ckind; id } ->
-      Printf.sprintf "miss %s#%d @%s" (cache_kind_string ckind) id (node_str node)
+      add b "miss ";
+      add_cache_entry b ckind id node
   | Cache_inval { node; set_id; version } ->
-      Printf.sprintf "inval dir#%d @%s v=%d" set_id (node_str node) version
+      add b "inval ";
+      add_cache_entry b Cache_dir set_id node;
+      add b " v=";
+      add_int b version
   | Lease_expire { node; ckind; id } ->
-      Printf.sprintf "expire %s#%d @%s" (cache_kind_string ckind) id (node_str node)
+      add b "expire ";
+      add_cache_entry b ckind id node
   | Spec_observe { set_id; phase; s; accessible } ->
-      let extra =
-        match phase with
-        | Phase_suspends e -> " e=" ^ elem_string e
-        | Phase_mutation (Spec_add e) | Phase_mutation (Spec_remove e) ->
-            " e=" ^ elem_string e
-        | _ -> ""
-      in
-      Printf.sprintf "set#%d %s%s s=[%s] acc=[%s]" set_id (phase_string phase)
-        extra (elems_string s) (elems_string accessible)
+      add b "set#";
+      add_int b set_id;
+      addc b ' ';
+      add b (phase_string phase);
+      (match phase with
+      | Phase_suspends e | Phase_mutation (Spec_add e) | Phase_mutation (Spec_remove e) ->
+          add b " e=";
+          add_elem b e
+      | _ -> ());
+      add b " s=[";
+      add_elems b s;
+      add b "] acc=[";
+      add_elems b accessible;
+      addc b ']'
   | Alert { source; op; severity; burn; window; detail } ->
-      Printf.sprintf "[%s] %s/%s burn=%s window=%s %s" (severity_string severity)
-        source op (hexf burn) (hexf window) detail
+      addc b '[';
+      add b (severity_string severity);
+      add b "] ";
+      add b source;
+      addc b '/';
+      add b op;
+      add b " burn=";
+      add_hexf b burn;
+      add b " window=";
+      add_hexf b window;
+      addc b ' ';
+      add b detail
   | Spec_violation { set_id; where; message } ->
-      Printf.sprintf "set#%d %s: %s" set_id where message
-  | Custom { detail; _ } -> detail
+      add b "set#";
+      add_int b set_id;
+      addc b ' ';
+      add b where;
+      add b ": ";
+      add b message
+  | Custom { detail; _ } -> add b detail
 
-let to_canonical t =
-  Printf.sprintf "%d|%s|%s|%s" t.seq (hexf t.time) (label t.kind)
-    (detail t.kind)
+let write_canonical b t =
+  add_int b t.seq;
+  addc b '|';
+  add_hexf b t.time;
+  addc b '|';
+  add b (label t.kind);
+  addc b '|';
+  write_detail b t.kind
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let render write x =
+  let b = Buffer.create 128 in
+  write b x;
+  Buffer.contents b
+
+let detail k = render write_detail k
+let to_canonical t = render write_canonical t
 
 (* --- structured JSON (lossless; Event.of_json is the inverse) ------- *)
 
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+(* Strings with nothing to escape (nearly all of them) go in with one
+   blit. *)
+let add_escaped b s =
+  if not (String.exists needs_escape s) then add b s
+  else
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> add b "\\\""
+        | '\\' -> add b "\\\\"
+        | '\n' -> add b "\\n"
+        | '\t' -> add b "\\t"
+        | '\r' -> add b "\\r"
+        | c when Char.code c < 0x20 ->
+            add b "\\u00";
+            addc b (hex_digit (Char.code c lsr 4));
+            addc b (hex_digit (Char.code c land 0xf))
+        | c -> addc b c)
+      s
+
+let json_escape s =
+  if not (String.exists needs_escape s) then s else render add_escaped s
+
+(* The runtime primitive behind [Printf]'s [%g] conversions. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 (* Floats are rendered with 17 significant digits, which round-trips
    every finite double through [float_of_string]. *)
-let jfloat f = Printf.sprintf "%.17g" f
+let add_jfloat b f = add b (format_float "%.17g" f)
 
-let jstr s = "\"" ^ json_escape s ^ "\""
+let add_jstr b s =
+  addc b '"';
+  add_escaped b s;
+  addc b '"'
 
-let jelem e = Printf.sprintf {|{"id":%d,"label":%s}|} e.elem_id (jstr e.elem_label)
+(* [key] carries its own punctuation, e.g. [{|,"fid":|}]. *)
+let int_field b key v =
+  add b key;
+  add_int b v
 
-let jelems es = "[" ^ String.concat "," (List.map jelem es) ^ "]"
+let str_field b key s =
+  add b key;
+  add_jstr b s
 
-(* Kind-specific fields, as ["k":v,...] pairs (no braces).  [parent]-like
-   options are omitted when [None]. *)
-let kind_fields = function
+let float_field b key f =
+  add b key;
+  add_jfloat b f
+
+(* Absent options are omitted. *)
+let opt_field b key = function None -> () | Some v -> int_field b key v
+
+let add_jelem b e =
+  int_field b {|{"id":|} e.elem_id;
+  str_field b {|,"label":|} e.elem_label;
+  addc b '}'
+
+let add_jelems b es =
+  addc b '[';
+  List.iteri
+    (fun i e ->
+      if i > 0 then addc b ',';
+      add_jelem b e)
+    es;
+  addc b ']'
+
+let write_kind_fields b = function
   | Fiber_spawn { fid; fiber } ->
-      Printf.sprintf {|"kind":"fiber_spawn","fid":%d,"fiber":%s|} fid (jstr fiber)
+      int_field b {|"kind":"fiber_spawn","fid":|} fid;
+      str_field b {|,"fiber":|} fiber
   | Run_begin { fid; fiber } ->
-      Printf.sprintf {|"kind":"run_begin","fid":%d,"fiber":%s|} fid (jstr fiber)
-  | Run_end { fid; fiber; park } ->
-      Printf.sprintf {|"kind":"run_end","fid":%d,"fiber":%s,"park":%s%s|} fid (jstr fiber)
-        (jstr (park_base park))
-        (match park with
-        | Park_sleep wake -> Printf.sprintf {|,"wake":%s|} (jfloat wake)
-        | _ -> "")
+      int_field b {|"kind":"run_begin","fid":|} fid;
+      str_field b {|,"fiber":|} fiber
+  | Run_end { fid; fiber; park } -> (
+      int_field b {|"kind":"run_end","fid":|} fid;
+      str_field b {|,"fiber":|} fiber;
+      str_field b {|,"park":|} (park_base park);
+      match park with Park_sleep wake -> float_field b {|,"wake":|} wake | _ -> ())
   | Fiber_crash { fiber; exn_text } ->
-      Printf.sprintf {|"kind":"fiber_crash","fiber":%s,"exn":%s|} (jstr fiber)
-        (jstr exn_text)
-  | Sched { at } -> Printf.sprintf {|"kind":"sched","at":%s|} (jfloat at)
-  | Fault_node_crash { node } -> Printf.sprintf {|"kind":"fault_node_crash","node":%d|} node
-  | Fault_node_recover { node } ->
-      Printf.sprintf {|"kind":"fault_node_recover","node":%d|} node
-  | Fault_link_cut { a; b } -> Printf.sprintf {|"kind":"fault_link_cut","a":%d,"b":%d|} a b
-  | Fault_link_heal { a; b } -> Printf.sprintf {|"kind":"fault_link_heal","a":%d,"b":%d|} a b
-  | Fault_partition -> {|"kind":"fault_partition"|}
-  | Fault_heal_all -> {|"kind":"fault_heal_all"|}
+      str_field b {|"kind":"fiber_crash","fiber":|} fiber;
+      str_field b {|,"exn":|} exn_text
+  | Sched { at } -> float_field b {|"kind":"sched","at":|} at
+  | Fault_node_crash { node } -> int_field b {|"kind":"fault_node_crash","node":|} node
+  | Fault_node_recover { node } -> int_field b {|"kind":"fault_node_recover","node":|} node
+  | Fault_link_cut { a; b = b' } ->
+      int_field b {|"kind":"fault_link_cut","a":|} a;
+      int_field b {|,"b":|} b'
+  | Fault_link_heal { a; b = b' } ->
+      int_field b {|"kind":"fault_link_heal","a":|} a;
+      int_field b {|,"b":|} b'
+  | Fault_partition -> add b {|"kind":"fault_partition"|}
+  | Fault_heal_all -> add b {|"kind":"fault_heal_all"|}
   | Net_send { src; dst; lc } ->
-      Printf.sprintf {|"kind":"net_send","src":%d,"dst":%d,"lc":%d|} src dst lc
+      int_field b {|"kind":"net_send","src":|} src;
+      int_field b {|,"dst":|} dst;
+      int_field b {|,"lc":|} lc
   | Net_deliver { src; dst; sent_at; send_lc; lc } ->
-      Printf.sprintf
-        {|"kind":"net_deliver","src":%d,"dst":%d,"sent_at":%s,"send_lc":%d,"lc":%d|} src
-        dst (jfloat sent_at) send_lc lc
+      int_field b {|"kind":"net_deliver","src":|} src;
+      int_field b {|,"dst":|} dst;
+      float_field b {|,"sent_at":|} sent_at;
+      int_field b {|,"send_lc":|} send_lc;
+      int_field b {|,"lc":|} lc
   | Net_drop { src; dst; reason } ->
-      Printf.sprintf {|"kind":"net_drop","src":%d,"dst":%d,"reason":%s|} src dst
-        (jstr (drop_reason_string reason))
+      int_field b {|"kind":"net_drop","src":|} src;
+      int_field b {|,"dst":|} dst;
+      str_field b {|,"reason":|} (drop_reason_string reason)
   | Rpc_call { src; dst; id; lc; parent } ->
-      Printf.sprintf {|"kind":"rpc_call","src":%d,"dst":%d,"id":%d,"lc":%d%s|} src dst id
-        lc
-        (match parent with None -> "" | Some p -> Printf.sprintf {|,"parent":%d|} p)
+      int_field b {|"kind":"rpc_call","src":|} src;
+      int_field b {|,"dst":|} dst;
+      int_field b {|,"id":|} id;
+      int_field b {|,"lc":|} lc;
+      opt_field b {|,"parent":|} parent
   | Rpc_done { src; dst; id; outcome; lc } ->
-      Printf.sprintf {|"kind":"rpc_done","src":%d,"dst":%d,"id":%d,"outcome":%s,"lc":%d|}
-        src dst id
-        (jstr (rpc_outcome_string outcome))
-        lc
+      int_field b {|"kind":"rpc_done","src":|} src;
+      int_field b {|,"dst":|} dst;
+      int_field b {|,"id":|} id;
+      str_field b {|,"outcome":|} (rpc_outcome_string outcome);
+      int_field b {|,"lc":|} lc
   | Span_start { span; parent; name; node } ->
-      Printf.sprintf {|"kind":"span_start","span":%d,"name":%s%s%s|} span (jstr name)
-        (match parent with None -> "" | Some p -> Printf.sprintf {|,"parent":%d|} p)
-        (match node with None -> "" | Some n -> Printf.sprintf {|,"node":%d|} n)
+      int_field b {|"kind":"span_start","span":|} span;
+      str_field b {|,"name":|} name;
+      opt_field b {|,"parent":|} parent;
+      opt_field b {|,"node":|} node
   | Span_end { span; name; node; dur } ->
-      Printf.sprintf {|"kind":"span_end","span":%d,"name":%s%s,"dur":%s|} span (jstr name)
-        (match node with None -> "" | Some n -> Printf.sprintf {|,"node":%d|} n)
-        (jfloat dur)
+      int_field b {|"kind":"span_end","span":|} span;
+      str_field b {|,"name":|} name;
+      opt_field b {|,"node":|} node;
+      float_field b {|,"dur":|} dur
   | Store_op { node; op; parent } ->
-      Printf.sprintf {|"kind":"store_op","node":%d,"op":%s%s|} node (jstr op)
-        (match parent with None -> "" | Some p -> Printf.sprintf {|,"parent":%d|} p)
+      int_field b {|"kind":"store_op","node":|} node;
+      str_field b {|,"op":|} op;
+      opt_field b {|,"parent":|} parent
   | Cache_hit { node; ckind; id; version; age } ->
-      Printf.sprintf
-        {|"kind":"cache_hit","node":%d,"ckind":%s,"id":%d,"version":%d,"age":%s|} node
-        (jstr (cache_kind_string ckind))
-        id version (jfloat age)
+      int_field b {|"kind":"cache_hit","node":|} node;
+      str_field b {|,"ckind":|} (cache_kind_string ckind);
+      int_field b {|,"id":|} id;
+      int_field b {|,"version":|} version;
+      float_field b {|,"age":|} age
   | Cache_miss { node; ckind; id } ->
-      Printf.sprintf {|"kind":"cache_miss","node":%d,"ckind":%s,"id":%d|} node
-        (jstr (cache_kind_string ckind))
-        id
+      int_field b {|"kind":"cache_miss","node":|} node;
+      str_field b {|,"ckind":|} (cache_kind_string ckind);
+      int_field b {|,"id":|} id
   | Cache_inval { node; set_id; version } ->
-      Printf.sprintf {|"kind":"cache_inval","node":%d,"set_id":%d,"version":%d|} node
-        set_id version
+      int_field b {|"kind":"cache_inval","node":|} node;
+      int_field b {|,"set_id":|} set_id;
+      int_field b {|,"version":|} version
   | Lease_expire { node; ckind; id } ->
-      Printf.sprintf {|"kind":"lease_expire","node":%d,"ckind":%s,"id":%d|} node
-        (jstr (cache_kind_string ckind))
-        id
+      int_field b {|"kind":"lease_expire","node":|} node;
+      str_field b {|,"ckind":|} (cache_kind_string ckind);
+      int_field b {|,"id":|} id
   | Spec_observe { set_id; phase; s; accessible } ->
-      let elem_field =
-        match phase with
-        | Phase_suspends e | Phase_mutation (Spec_add e) | Phase_mutation (Spec_remove e)
-          ->
-            Printf.sprintf {|,"elem":%s|} (jelem e)
-        | _ -> ""
-      in
-      Printf.sprintf {|"kind":"spec_observe","set_id":%d,"phase":%s%s,"s":%s,"acc":%s|}
-        set_id
-        (jstr (phase_string phase))
-        elem_field (jelems s) (jelems accessible)
+      int_field b {|"kind":"spec_observe","set_id":|} set_id;
+      str_field b {|,"phase":|} (phase_string phase);
+      (match phase with
+      | Phase_suspends e | Phase_mutation (Spec_add e) | Phase_mutation (Spec_remove e) ->
+          add b {|,"elem":|};
+          add_jelem b e
+      | _ -> ());
+      add b {|,"s":|};
+      add_jelems b s;
+      add b {|,"acc":|};
+      add_jelems b accessible
   | Alert { source; op; severity; burn; window; detail } ->
-      Printf.sprintf
-        {|"kind":"alert","source":%s,"op":%s,"severity":%s,"burn":%s,"window":%s,"detail":%s|}
-        (jstr source) (jstr op)
-        (jstr (severity_string severity))
-        (jfloat burn) (jfloat window) (jstr detail)
+      str_field b {|"kind":"alert","source":|} source;
+      str_field b {|,"op":|} op;
+      str_field b {|,"severity":|} (severity_string severity);
+      float_field b {|,"burn":|} burn;
+      float_field b {|,"window":|} window;
+      str_field b {|,"detail":|} detail
   | Spec_violation { set_id; where; message } ->
-      Printf.sprintf {|"kind":"spec_violation","set_id":%d,"where":%s,"message":%s|} set_id
-        (jstr where) (jstr message)
+      int_field b {|"kind":"spec_violation","set_id":|} set_id;
+      str_field b {|,"where":|} where;
+      str_field b {|,"message":|} message
   | Custom { label; detail } ->
-      Printf.sprintf {|"kind":"custom","clabel":%s,"detail":%s|} (jstr label) (jstr detail)
+      str_field b {|"kind":"custom","clabel":|} label;
+      str_field b {|,"detail":|} detail
 
-let to_json t =
-  Printf.sprintf {|{"seq":%d,"time":%s,"label":%s,%s}|} t.seq (jfloat t.time)
-    (jstr (label t.kind))
-    (kind_fields t.kind)
+let write_json b t =
+  int_field b {|{"seq":|} t.seq;
+  float_field b {|,"time":|} t.time;
+  str_field b {|,"label":|} (label t.kind);
+  addc b ',';
+  write_kind_fields b t.kind;
+  addc b '}'
+
+let to_json t = render write_json t
 
 (* --- JSON parsing: the inverse of [to_json] ------------------------- *)
 

@@ -133,23 +133,46 @@ val label : kind -> string
 
 val cache_kind_string : cache_kind -> string
 
-(** Deterministic human-readable payload rendering (no seq/time). *)
-val detail : kind -> string
-
 val severity_string : alert_severity -> string
 
-(** Escape a string for inclusion in a JSON string literal (used by the
-    other JSON writers in this library). *)
-val json_escape : string -> string
+(** {1 Renderings}
 
-(** Injective single-line rendering; equal canonical strings iff the
-    events are equal (floats are rendered exactly, in hex). *)
+    Each format has exactly one writer, which appends to a caller-owned
+    buffer without going through [Printf] or [Format]; the [string]
+    forms below are thin wrappers over the writers.  A sink that renders
+    every event (the {!Digest}, the {!Jsonl} writer, the {!Flight}
+    recorder's dumps) keeps one buffer and reuses it. *)
+
+(** [write_canonical b e] appends the injective single-line rendering
+    [seq|time|label|detail]: equal canonical strings iff the events are
+    equal.  This is the {!Digest}'s input, so its bytes are part of every
+    pinned digest.  Float fields are rendered exactly, in hex, byte for
+    byte as [Printf.sprintf "%h"] prints them ([0x1.8p+1], [-0x0p+0],
+    [0x0.0000000000001p-1022], [infinity], [-nan]). *)
+val write_canonical : Buffer.t -> t -> unit
+
+(** [to_canonical e] is the string {!write_canonical} appends. *)
 val to_canonical : t -> string
 
-(** One structured JSON object, no trailing newline.  Lossless: every
-    field of every constructor is emitted (floats with 17 significant
-    digits), and {!of_json} inverts it exactly. *)
+(** Deterministic human-readable payload rendering (no seq/time): the
+    last field of {!to_canonical}. *)
+val detail : kind -> string
+
+(** [write_json b e] appends one structured JSON object, no trailing
+    newline.  Lossless: every field of every constructor is emitted
+    (floats as [Printf.sprintf "%.17g"] prints them, which round-trips
+    every finite double), and {!of_json} inverts it exactly. *)
+val write_json : Buffer.t -> t -> unit
+
+(** [to_json e] is the string {!write_json} appends. *)
 val to_json : t -> string
+
+(** Escape a string for inclusion in a JSON string literal, as
+    {!write_json} does: double quote, backslash, newline, tab and
+    carriage return get their two-character escapes, the other control
+    characters [\u00XX].  Returns the string itself when nothing needs
+    escaping.  Used by the other JSON writers in this library. *)
+val json_escape : string -> string
 
 (** [of_json j] reconstructs the event rendered by {!to_json};
     [Error _] describes the first missing or ill-typed field. *)

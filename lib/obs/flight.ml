@@ -128,7 +128,7 @@ let render_dump t ~time c =
       List.iteri
         (fun j ev ->
           if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Event.to_json ev))
+          Event.write_json buf ev)
         (Ring.to_list r);
       Buffer.add_string buf "]}")
     (sorted_nodes t);

@@ -1,29 +1,21 @@
-type t = { oc : out_channel; mutable closed : bool }
+type t = { oc : out_channel; buf : Buffer.t; mutable closed : bool }
 
-let open_file path = { oc = open_out path; closed = false }
+let open_file path = { oc = open_out path; buf = Buffer.create 512; closed = false }
 
 let write t e =
   if not t.closed then begin
-    output_string t.oc (Event.to_json e);
-    output_char t.oc '\n'
+    Buffer.clear t.buf;
+    Event.write_json t.buf e;
+    Buffer.add_char t.buf '\n';
+    Buffer.output_buffer t.oc t.buf
   end
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let note t s =
-  if not t.closed then
-    output_string t.oc (Printf.sprintf "{\"note\":\"%s\"}\n" (json_escape s))
+  if not t.closed then begin
+    output_string t.oc {|{"note":"|};
+    output_string t.oc (Event.json_escape s);
+    output_string t.oc "\"}\n"
+  end
 
 let close t =
   if not t.closed then begin

@@ -175,26 +175,13 @@ let sorted_entries t =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.table []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   let buf = Buffer.create 256 in
   Buffer.add_char buf '{';
   List.iteri
     (fun i (k, inst) ->
       if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf {|"%s":|} (json_escape k));
+      Buffer.add_string buf (Printf.sprintf {|"%s":|} (Event.json_escape k));
       match inst with
       | Counter c -> Buffer.add_string buf (string_of_int c.c)
       | Gauge g -> Buffer.add_string buf (Printf.sprintf "%.9g" g.g)

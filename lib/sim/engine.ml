@@ -120,7 +120,7 @@ let run_fiber t fid name body =
 let spawn t ?name body =
   t.fiber_counter <- t.fiber_counter + 1;
   let fid = t.fiber_counter in
-  let name = match name with Some n -> n | None -> Printf.sprintf "fiber-%d" fid in
+  let name = match name with Some n -> n | None -> "fiber-" ^ string_of_int fid in
   Weakset_obs.Bus.emit t.bus ~time:t.now
     (Weakset_obs.Event.Fiber_spawn { fid; fiber = name });
   schedule t ~after:0.0 (fun () -> run_fiber t fid name body)

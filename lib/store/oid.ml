@@ -11,8 +11,8 @@ let compare a b =
   match Int.compare a.num b.num with 0 -> Nodeid.compare a.home b.home | c -> c
 
 let hash t = (t.num * 31) + Nodeid.to_int t.home
-let pp fmt t = Format.fprintf fmt "o%d@%a" t.num Nodeid.pp t.home
-let to_string t = Format.asprintf "%a" pp t
+let to_string t = "o" ^ string_of_int t.num ^ "@" ^ Nodeid.to_string t.home
+let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 module Ord = struct
   type nonrec t = t

@@ -4,9 +4,11 @@
    engine's verdict inputs.  A change meant only to make the host faster
    must leave every line of digest_pin.golden unchanged.
 
-   The golden file holds one line per run:
+   The golden file holds one line per run, and one per black-box dump:
      vopr <seed> <digest> <events> <steps>      Runner.execute, seeds 0..63
      scenario <name> <digest> <events>          every Scenario.table row
+     dump <seed> <k> <md5>                      k-th flight dump of a vopr
+                                                seed, md5 of its JSON
 
    A change that is meant to alter simulated behaviour regenerates it,
    and says so in its description:
@@ -18,15 +20,28 @@ module Scenario = Weakset_vopr.Scenario
 
 let golden_file = "digest_pin.golden"
 
-let vopr_line seed =
+(* One execution per seed yields its vopr line and its dump lines. *)
+let vopr_run seed =
   let r = Runner.execute (Gen.generate (Int64.of_int seed)) in
-  Printf.sprintf "vopr %d %s %d %d" seed r.Runner.digest r.Runner.events r.Runner.steps
+  let vopr =
+    Printf.sprintf "vopr %d %s %d %d" seed r.Runner.digest r.Runner.events r.Runner.steps
+  in
+  let dumps =
+    List.mapi
+      (fun k d ->
+        Printf.sprintf "dump %d %d %s" seed k
+          (Stdlib.Digest.to_hex (Stdlib.Digest.string d.Weakset_obs.Flight.d_json)))
+      r.Runner.blackbox
+  in
+  (vopr, dumps)
 
 let scenario_line scn =
   let o = Scenario.run scn in
   Printf.sprintf "scenario %s %s %d" o.Scenario.o_name o.Scenario.o_digest o.Scenario.o_events
 
-let vopr_lines () = List.init 64 vopr_line
+let vopr_runs = lazy (List.init 64 vopr_run)
+let vopr_lines () = List.map fst (Lazy.force vopr_runs)
+let dump_lines () = List.concat_map snd (Lazy.force vopr_runs)
 let scenario_lines () = List.map scenario_line Scenario.table
 
 let read_golden prefix =
@@ -41,7 +56,7 @@ let check_lines prefix actual =
 
 let () =
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--print" then begin
-    List.iter print_endline (vopr_lines () @ scenario_lines ());
+    List.iter print_endline (vopr_lines () @ scenario_lines () @ dump_lines ());
     exit 0
   end;
   Alcotest.run "digest_pin"
@@ -52,5 +67,7 @@ let () =
               check_lines "vopr" (vopr_lines ()));
           Alcotest.test_case "scenario table" `Quick (fun () ->
               check_lines "scenario" (scenario_lines ()));
+          Alcotest.test_case "blackbox dumps of vopr seeds 0..63" `Quick (fun () ->
+              check_lines "dump" (dump_lines ()));
         ] );
     ]

@@ -1,8 +1,9 @@
 (* Tests for the weakset_obs observability layer: trace-digest
    determinism across seeded runs, ring-buffer sink semantics, metrics
    registry / Netstat snapshots, RPC failure detection for destinations
-   that crash mid-call, Stats edge cases, and rebuilding a spec
-   computation from the recorded event stream. *)
+   that crash mid-call, Stats edge cases, rebuilding a spec computation
+   from the recorded event stream, and equivalence of the buffer
+   writers with the Printf/Format renderings they replaced. *)
 
 open Weakset_sim
 open Weakset_net
@@ -386,11 +387,19 @@ let test_json_roundtrip_examples () =
     roundtrip_examples
 
 (* Property form: random events (arbitrary byte strings, optional fields
-   both ways, exact float payloads) survive the round trip. *)
-let gen_event =
+   both ways, exact float payloads) survive the round trip.  [fin] draws
+   the float fields. *)
+let gen_event_with fin =
   let open QCheck.Gen in
-  let str = string_size ~gen:(map Char.chr (int_range 0 255)) (int_bound 12) in
-  let fin = map (fun f -> if Float.is_finite f then f else 0.5) float in
+  (* Arbitrary bytes, with the characters JSON must escape over-weighted. *)
+  let chr =
+    frequency
+      [
+        (3, map Char.chr (int_range 0 255));
+        (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\031'; '\127' ]);
+      ]
+  in
+  let str = string_size ~gen:chr (int_bound 12) in
   let elem = map2 (fun elem_id elem_label -> { Obs.Event.elem_id; elem_label }) small_nat str in
   let phase =
     let open Obs.Event in
@@ -493,6 +502,9 @@ let gen_event =
   fin >>= fun time ->
   map (fun kind -> { Obs.Event.seq; time; kind }) kind
 
+let gen_event =
+  QCheck.Gen.(gen_event_with (map (fun f -> if Float.is_finite f then f else 0.5) float))
+
 let json_roundtrip_property =
   QCheck.Test.make ~count:500 ~name:"to_json |> of_json = id"
     (QCheck.make ~print:Obs.Event.to_json gen_event)
@@ -500,6 +512,317 @@ let json_roundtrip_property =
       match Obs.Event.of_json_string (Obs.Event.to_json e) with
       | Ok e' -> e = e'
       | Error m -> QCheck.Test.fail_reportf "parse error: %s" m)
+
+(* ------------------------------------------------------------------ *)
+(* Buffer writers = the Printf/Format renderings they replaced         *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference copies of the Printf renderers the writers replaced.  The
+   canonical rendering is the digest's input and the JSON rendering is
+   in every black-box dump, so the writers must reproduce these byte
+   for byte. *)
+module Printf_reference = struct
+  open Obs.Event
+
+  let hexf f = Printf.sprintf "%h" f
+  let node_str n = "n" ^ string_of_int n
+  let opt_int_str = function None -> "-" | Some i -> string_of_int i
+  let elem_string e = Printf.sprintf "%d:%s" e.elem_id e.elem_label
+  let elems_string es = String.concat "," (List.map elem_string es)
+
+  let phase_string = function
+    | Phase_first -> "first"
+    | Phase_invocation_start -> "invocation-start"
+    | Phase_invocation_retry -> "invocation-retry"
+    | Phase_returns -> "returns"
+    | Phase_fails -> "fails"
+    | Phase_suspends _ -> "suspends"
+    | Phase_mutation (Spec_add _) -> "add"
+    | Phase_mutation (Spec_remove _) -> "remove"
+
+  let park_base = function
+    | Park_yield -> "yield"
+    | Park_sleep _ -> "sleep"
+    | Park_suspend -> "suspend"
+    | Park_done -> "done"
+    | Park_crash -> "crash"
+
+  let drop_reason_string = function
+    | Unreachable -> "unreachable"
+    | Endpoint_down -> "endpoint-down"
+    | In_flight -> "in-flight"
+    | Lost -> "lost"
+
+  let rpc_outcome_string = function
+    | Rpc_ok -> "ok"
+    | Rpc_timeout -> "timeout"
+    | Rpc_unreachable -> "unreachable"
+
+  let park_string = function
+    | Park_sleep wake -> "sleep until=" ^ hexf wake
+    | p -> park_base p
+
+  let detail = function
+    | Fiber_spawn { fid; fiber } -> Printf.sprintf "spawn #%d %s" fid fiber
+    | Run_begin { fid; fiber } -> Printf.sprintf "begin #%d %s" fid fiber
+    | Run_end { fid; fiber; park } ->
+        Printf.sprintf "end #%d %s %s" fid fiber (park_string park)
+    | Fiber_crash { fiber; exn_text } -> fiber ^ ": " ^ exn_text
+    | Sched { at } -> "at=" ^ hexf at
+    | Fault_node_crash { node } -> "crash " ^ node_str node
+    | Fault_node_recover { node } -> "recover " ^ node_str node
+    | Fault_link_cut { a; b } -> "cut " ^ node_str a ^ "-" ^ node_str b
+    | Fault_link_heal { a; b } -> "heal " ^ node_str a ^ "-" ^ node_str b
+    | Fault_partition -> "partition"
+    | Fault_heal_all -> "heal-all"
+    | Net_send { src; dst; lc } ->
+        Printf.sprintf "send %s->%s lc=%d" (node_str src) (node_str dst) lc
+    | Net_deliver { src; dst; sent_at; send_lc; lc } ->
+        Printf.sprintf "deliver %s->%s sent=%s slc=%d lc=%d" (node_str src)
+          (node_str dst) (hexf sent_at) send_lc lc
+    | Net_drop { src; dst; reason } ->
+        Printf.sprintf "drop %s->%s %s" (node_str src) (node_str dst)
+          (drop_reason_string reason)
+    | Rpc_call { src; dst; id; lc; parent } ->
+        Printf.sprintf "call#%d %s->%s lc=%d parent=%s" id (node_str src)
+          (node_str dst) lc (opt_int_str parent)
+    | Rpc_done { src; dst; id; outcome; lc } ->
+        Printf.sprintf "done#%d %s->%s %s lc=%d" id (node_str src) (node_str dst)
+          (rpc_outcome_string outcome) lc
+    | Span_start { span; parent; name; node } ->
+        Printf.sprintf "start#%d %s%s parent=%s" span name
+          (match node with None -> "" | Some n -> " @" ^ node_str n)
+          (opt_int_str parent)
+    | Span_end { span; name; node; dur } ->
+        Printf.sprintf "end#%d %s%s dur=%s" span name
+          (match node with None -> "" | Some n -> " @" ^ node_str n)
+          (hexf dur)
+    | Store_op { node; op; parent } ->
+        Printf.sprintf "%s @%s parent=%s" op (node_str node) (opt_int_str parent)
+    | Cache_hit { node; ckind; id; version; age } ->
+        Printf.sprintf "hit %s#%d @%s v=%d age=%s" (cache_kind_string ckind) id
+          (node_str node) version (hexf age)
+    | Cache_miss { node; ckind; id } ->
+        Printf.sprintf "miss %s#%d @%s" (cache_kind_string ckind) id (node_str node)
+    | Cache_inval { node; set_id; version } ->
+        Printf.sprintf "inval dir#%d @%s v=%d" set_id (node_str node) version
+    | Lease_expire { node; ckind; id } ->
+        Printf.sprintf "expire %s#%d @%s" (cache_kind_string ckind) id (node_str node)
+    | Spec_observe { set_id; phase; s; accessible } ->
+        let extra =
+          match phase with
+          | Phase_suspends e -> " e=" ^ elem_string e
+          | Phase_mutation (Spec_add e) | Phase_mutation (Spec_remove e) ->
+              " e=" ^ elem_string e
+          | _ -> ""
+        in
+        Printf.sprintf "set#%d %s%s s=[%s] acc=[%s]" set_id (phase_string phase)
+          extra (elems_string s) (elems_string accessible)
+    | Alert { source; op; severity; burn; window; detail } ->
+        Printf.sprintf "[%s] %s/%s burn=%s window=%s %s" (severity_string severity)
+          source op (hexf burn) (hexf window) detail
+    | Spec_violation { set_id; where; message } ->
+        Printf.sprintf "set#%d %s: %s" set_id where message
+    | Custom { detail; _ } -> detail
+
+  let to_canonical t =
+    Printf.sprintf "%d|%s|%s|%s" t.seq (hexf t.time) (label t.kind)
+      (detail t.kind)
+
+  let json_escape s =
+    let buf = Buffer.create (String.length s + 8) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 ->
+            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let jfloat f = Printf.sprintf "%.17g" f
+  let jstr s = "\"" ^ json_escape s ^ "\""
+  let jelem e = Printf.sprintf {|{"id":%d,"label":%s}|} e.elem_id (jstr e.elem_label)
+  let jelems es = "[" ^ String.concat "," (List.map jelem es) ^ "]"
+
+  let kind_fields = function
+    | Fiber_spawn { fid; fiber } ->
+        Printf.sprintf {|"kind":"fiber_spawn","fid":%d,"fiber":%s|} fid (jstr fiber)
+    | Run_begin { fid; fiber } ->
+        Printf.sprintf {|"kind":"run_begin","fid":%d,"fiber":%s|} fid (jstr fiber)
+    | Run_end { fid; fiber; park } ->
+        Printf.sprintf {|"kind":"run_end","fid":%d,"fiber":%s,"park":%s%s|} fid (jstr fiber)
+          (jstr (park_base park))
+          (match park with
+          | Park_sleep wake -> Printf.sprintf {|,"wake":%s|} (jfloat wake)
+          | _ -> "")
+    | Fiber_crash { fiber; exn_text } ->
+        Printf.sprintf {|"kind":"fiber_crash","fiber":%s,"exn":%s|} (jstr fiber)
+          (jstr exn_text)
+    | Sched { at } -> Printf.sprintf {|"kind":"sched","at":%s|} (jfloat at)
+    | Fault_node_crash { node } -> Printf.sprintf {|"kind":"fault_node_crash","node":%d|} node
+    | Fault_node_recover { node } ->
+        Printf.sprintf {|"kind":"fault_node_recover","node":%d|} node
+    | Fault_link_cut { a; b } -> Printf.sprintf {|"kind":"fault_link_cut","a":%d,"b":%d|} a b
+    | Fault_link_heal { a; b } -> Printf.sprintf {|"kind":"fault_link_heal","a":%d,"b":%d|} a b
+    | Fault_partition -> {|"kind":"fault_partition"|}
+    | Fault_heal_all -> {|"kind":"fault_heal_all"|}
+    | Net_send { src; dst; lc } ->
+        Printf.sprintf {|"kind":"net_send","src":%d,"dst":%d,"lc":%d|} src dst lc
+    | Net_deliver { src; dst; sent_at; send_lc; lc } ->
+        Printf.sprintf
+          {|"kind":"net_deliver","src":%d,"dst":%d,"sent_at":%s,"send_lc":%d,"lc":%d|} src
+          dst (jfloat sent_at) send_lc lc
+    | Net_drop { src; dst; reason } ->
+        Printf.sprintf {|"kind":"net_drop","src":%d,"dst":%d,"reason":%s|} src dst
+          (jstr (drop_reason_string reason))
+    | Rpc_call { src; dst; id; lc; parent } ->
+        Printf.sprintf {|"kind":"rpc_call","src":%d,"dst":%d,"id":%d,"lc":%d%s|} src dst id
+          lc
+          (match parent with None -> "" | Some p -> Printf.sprintf {|,"parent":%d|} p)
+    | Rpc_done { src; dst; id; outcome; lc } ->
+        Printf.sprintf {|"kind":"rpc_done","src":%d,"dst":%d,"id":%d,"outcome":%s,"lc":%d|}
+          src dst id
+          (jstr (rpc_outcome_string outcome))
+          lc
+    | Span_start { span; parent; name; node } ->
+        Printf.sprintf {|"kind":"span_start","span":%d,"name":%s%s%s|} span (jstr name)
+          (match parent with None -> "" | Some p -> Printf.sprintf {|,"parent":%d|} p)
+          (match node with None -> "" | Some n -> Printf.sprintf {|,"node":%d|} n)
+    | Span_end { span; name; node; dur } ->
+        Printf.sprintf {|"kind":"span_end","span":%d,"name":%s%s,"dur":%s|} span (jstr name)
+          (match node with None -> "" | Some n -> Printf.sprintf {|,"node":%d|} n)
+          (jfloat dur)
+    | Store_op { node; op; parent } ->
+        Printf.sprintf {|"kind":"store_op","node":%d,"op":%s%s|} node (jstr op)
+          (match parent with None -> "" | Some p -> Printf.sprintf {|,"parent":%d|} p)
+    | Cache_hit { node; ckind; id; version; age } ->
+        Printf.sprintf
+          {|"kind":"cache_hit","node":%d,"ckind":%s,"id":%d,"version":%d,"age":%s|} node
+          (jstr (cache_kind_string ckind))
+          id version (jfloat age)
+    | Cache_miss { node; ckind; id } ->
+        Printf.sprintf {|"kind":"cache_miss","node":%d,"ckind":%s,"id":%d|} node
+          (jstr (cache_kind_string ckind))
+          id
+    | Cache_inval { node; set_id; version } ->
+        Printf.sprintf {|"kind":"cache_inval","node":%d,"set_id":%d,"version":%d|} node
+          set_id version
+    | Lease_expire { node; ckind; id } ->
+        Printf.sprintf {|"kind":"lease_expire","node":%d,"ckind":%s,"id":%d|} node
+          (jstr (cache_kind_string ckind))
+          id
+    | Spec_observe { set_id; phase; s; accessible } ->
+        let elem_field =
+          match phase with
+          | Phase_suspends e | Phase_mutation (Spec_add e) | Phase_mutation (Spec_remove e)
+            ->
+              Printf.sprintf {|,"elem":%s|} (jelem e)
+          | _ -> ""
+        in
+        Printf.sprintf {|"kind":"spec_observe","set_id":%d,"phase":%s%s,"s":%s,"acc":%s|}
+          set_id
+          (jstr (phase_string phase))
+          elem_field (jelems s) (jelems accessible)
+    | Alert { source; op; severity; burn; window; detail } ->
+        Printf.sprintf
+          {|"kind":"alert","source":%s,"op":%s,"severity":%s,"burn":%s,"window":%s,"detail":%s|}
+          (jstr source) (jstr op)
+          (jstr (severity_string severity))
+          (jfloat burn) (jfloat window) (jstr detail)
+    | Spec_violation { set_id; where; message } ->
+        Printf.sprintf {|"kind":"spec_violation","set_id":%d,"where":%s,"message":%s|} set_id
+          (jstr where) (jstr message)
+    | Custom { label; detail } ->
+        Printf.sprintf {|"kind":"custom","clabel":%s,"detail":%s|} (jstr label) (jstr detail)
+
+  let to_json t =
+    Printf.sprintf {|{"seq":%d,"time":%s,"label":%s,%s}|} t.seq (jfloat t.time)
+      (jstr (label t.kind))
+      (kind_fields t.kind)
+
+  let oid_to_string o =
+    Format.asprintf "o%d@%a" (Oid.num o) Nodeid.pp (Oid.home o)
+end
+
+(* Any double: random bit patterns (mostly normals, but also subnormals,
+   infinities and NaNs with arbitrary payloads and signs) plus the edge
+   values drawn on purpose. *)
+let gen_any_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map Int64.float_of_bits ui64);
+        ( 1,
+          oneofl
+            [
+              0.0;
+              -0.0;
+              Float.min_float;
+              Float.min_float /. 3.0;
+              4.9e-324;
+              -4.9e-324;
+              Float.max_float;
+              -.Float.max_float;
+              Float.infinity;
+              Float.neg_infinity;
+              Float.nan;
+              Float.neg Float.nan;
+              1.0;
+              0.1;
+              1e21;
+            ] );
+        (1, float);
+      ])
+
+let hexf_property =
+  QCheck.Test.make ~count:5000 ~name:"hex float writer = Printf %h"
+    (QCheck.make ~print:(fun f -> Printf.sprintf "%h" f) gen_any_float)
+    (fun f ->
+      (* A kind with no payload leaves the time as the only float. *)
+      let e = { Obs.Event.seq = 0; time = f; kind = Obs.Event.Fault_partition } in
+      Obs.Event.to_canonical e = "0|" ^ Printf.sprintf "%h" f ^ "|fault|partition")
+
+let writers_match_reference e =
+  let canon = Obs.Event.to_canonical e and json = Obs.Event.to_json e in
+  let buf = Buffer.create 16 in
+  Buffer.add_string buf "prefix";
+  Obs.Event.write_json buf e;
+  if canon <> Printf_reference.to_canonical e then
+    QCheck.Test.fail_reportf "canonical: got %S, want %S" canon (Printf_reference.to_canonical e)
+  else if json <> Printf_reference.to_json e then
+    QCheck.Test.fail_reportf "json: got %S, want %S" json (Printf_reference.to_json e)
+  else Buffer.contents buf = "prefix" ^ json
+
+let writers_property =
+  QCheck.Test.make ~count:2000 ~name:"canonical and JSON writers = Printf renderers"
+    (QCheck.make ~print:Printf_reference.to_json (gen_event_with gen_any_float))
+    writers_match_reference
+
+let test_writers_every_constructor () =
+  List.iteri
+    (fun i kind ->
+      let e = { Obs.Event.seq = i * 1001; time = float_of_int i *. 0.7; kind } in
+      check_bool
+        (Printf.sprintf "example %d (%s)" i (Obs.Event.label kind))
+        true (writers_match_reference e))
+    (roundtrip_examples
+    @ [
+        Obs.Event.Custom { label = "ctl"; detail = "\001\031\127 \"q\" \\ \r\n\t" };
+        Obs.Event.Rpc_call { src = -1; dst = max_int; id = min_int; lc = 0; parent = Some (-7) };
+      ])
+
+let oid_label_property =
+  QCheck.Test.make ~count:500 ~name:"Oid.to_string = Format rendering"
+    QCheck.(pair int small_nat)
+    (fun (num, home) ->
+      let o = Oid.make ~num ~home:(Nodeid.of_int home) in
+      Oid.to_string o = Printf_reference.oid_to_string o)
 
 (* ------------------------------------------------------------------ *)
 (* Canonical stream carries the causal metadata                        *)
@@ -614,6 +937,13 @@ let () =
           QCheck_alcotest.to_alcotest json_roundtrip_property;
           Alcotest.test_case "canonical covers causal metadata" `Quick
             test_canonical_covers_causal_metadata;
+        ] );
+      ( "writers",
+        [
+          QCheck_alcotest.to_alcotest hexf_property;
+          QCheck_alcotest.to_alcotest writers_property;
+          Alcotest.test_case "every kind constructor" `Quick test_writers_every_constructor;
+          QCheck_alcotest.to_alcotest oid_label_property;
         ] );
       ( "rpc-failure-detection",
         [
