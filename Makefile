@@ -125,16 +125,21 @@ blackbox-smoke:
 	@grep -q "exemplar span tree" /tmp/blackbox-smoke.out \
 	  || { echo "blackbox-smoke: no exemplar resolved to a span tree"; exit 1; }
 
-# One-second runs of the routing-bound (wide), member-count-bound (deep)
-# and replicated-directory (failover) benchmark workloads.  weakset_perf
-# exits nonzero when one of its correctness checks fails (3: an iteration
-# yielded the wrong elements, 4: a failover scenario row failed, 5: a
-# replayed pass simulated differently, digests included), so a host-speed
-# change that alters behaviour fails here.  failover attaches a digest to
-# every row, so it also runs the canonical event writer.
+# One-second runs of the routing-bound (wide), member-count-bound (deep),
+# open-loop overload and replicated-directory (failover) benchmark
+# workloads.  weakset_perf exits nonzero when one of its correctness
+# checks fails (3: an iteration yielded the wrong elements, 4: a failover
+# scenario row failed, 5: a replayed pass simulated differently, digests
+# included, 6: a fiber crashed, 7: overload accounting does not add up),
+# so a host-speed change that alters behaviour fails here.  overload runs
+# optimistic iterations under balanced churn, so its iterators rebuild
+# their candidate pools on every directory version change.  failover
+# attaches a digest to every row, so it also runs the canonical event
+# writer.
 perf-smoke:
 	dune exec perf/weakset_perf.exe -- --workload wide --seed 0 --seconds 1 > /dev/null
 	dune exec perf/weakset_perf.exe -- --workload deep --seed 0 --seconds 1 > /dev/null
+	dune exec perf/weakset_perf.exe -- --workload overload --seed 0 --seconds 1 > /dev/null
 	dune exec perf/weakset_perf.exe -- --workload failover --seed 0 --seconds 1 > /dev/null
 
 clean:

@@ -10,8 +10,7 @@ type state = {
   protocol : protocol;
   mutable opened : bool;
   mutable open_failure : Client.error option;
-  mutable pool : Oid.Set.t;     (* s_first: the fixed element pool *)
-  mutable yielded : Oid.Set.t;
+  mutable pool : Pool.t; (* s_first minus what has been yielded *)
   mutable lock_owner : int option;
 }
 
@@ -40,11 +39,11 @@ let ensure_open st =
             ~set_id:st.ctx.sref.Weakset_store.Protocol.set_id
         with
         | Ok (version, members) ->
-            st.pool <- Oid.Set.of_list members;
+            st.pool <- Pool.of_list ~skip:(fun _ -> false) members;
             (* The vintage is the membership this reply delivered, not the
                directory at receipt — a mutation landing while the reply
                was in flight is not part of the pool we iterate. *)
-            inst_first ~version ~linearised:st.pool st.ctx
+            inst_first ~version ~linearised:members st.ctx
         | Error e -> st.open_failure <- Some e)
   end
 
@@ -62,13 +61,12 @@ let next st () =
   | None ->
       inst_started st.ctx;
       let rec attempt fetch_failures =
-        let remaining = Oid.Set.diff st.pool st.yielded in
-        if Oid.Set.is_empty remaining then begin
+        if Pool.is_empty st.pool then begin
           inst_completed st.ctx Weakset_spec.Sstate.Returns;
           Iterator.Done
         end
         else
-          match pick_reachable st.ctx remaining with
+          match pick st.ctx st.pool with
           | None ->
               (* Pessimistic: un-yielded first-vintage elements exist but
                  none is accessible. *)
@@ -77,7 +75,7 @@ let next st () =
           | Some oid -> (
               match Client.fetch st.ctx.client oid with
               | Ok v ->
-                  st.yielded <- Oid.Set.add oid st.yielded;
+                  Pool.remove st.pool oid;
                   inst_yield st.ctx oid;
                   Iterator.Yield (oid, v)
               | Error Client.No_such_object ->
@@ -107,8 +105,7 @@ let make protocol ctx =
       protocol;
       opened = false;
       open_failure = None;
-      pool = Oid.Set.empty;
-      yielded = Oid.Set.empty;
+      pool = Pool.empty;
       lock_owner = None;
     }
   in

@@ -9,6 +9,7 @@ type state = {
   mutable open_failure : Client.error option;
   mutable registered : bool;
   mutable yielded : Oid.Set.t;
+  mutable pool : Pool.t; (* the last reply's members minus [yielded] *)
 }
 
 let ensure_open st =
@@ -46,24 +47,25 @@ let next st () =
             inst_completed st.ctx Weakset_spec.Sstate.Fails;
             Iterator.Failed e
         | Ok (version, members) -> (
-            let members = Oid.Set.of_list members in
+            st.pool <- Pool.refresh st.pool ~skip:(fun o -> Oid.Set.mem o st.yielded) members;
             (* Linearise here: the invocation acts on exactly this reply's
                membership, so record it as the pre-state rather than the
                directory at receipt (which in-flight mutations may have
                already changed). *)
             inst_retry ~version ~linearised:members st.ctx;
-            let remaining = Oid.Set.diff members st.yielded in
-            if Oid.Set.is_empty remaining then begin
+            if Pool.is_empty st.pool then begin
               inst_completed st.ctx Weakset_spec.Sstate.Returns;
               Iterator.Done
             end
             else
-              match pick_reachable st.ctx remaining with
+              match pick st.ctx st.pool with
               | None when !planted_grow_only_drop ->
                   (* Planted bug (mutation testing): silently drop the
                      unreachable members and pretend the iteration is
                      complete instead of signalling the failure. *)
-                  st.yielded <- Oid.Set.union st.yielded remaining;
+                  st.yielded <-
+                    List.fold_left (fun s o -> Oid.Set.add o s) st.yielded (Pool.elements st.pool);
+                  st.pool <- Pool.empty;
                   inst_completed st.ctx Weakset_spec.Sstate.Returns;
                   Iterator.Done
               | None ->
@@ -73,6 +75,7 @@ let next st () =
                   match Client.fetch st.ctx.client oid with
                   | Ok v ->
                       st.yielded <- Oid.Set.add oid st.yielded;
+                      Pool.remove st.pool oid;
                       inst_yield st.ctx oid;
                       Iterator.Yield (oid, v)
                   | Error Client.No_such_object ->
@@ -101,6 +104,7 @@ let open_ ?(register = true) ctx =
       open_failure = None;
       registered = false;
       yielded = Oid.Set.empty;
+      pool = Pool.empty;
     }
   in
   Iterator.make ~next:(next st)

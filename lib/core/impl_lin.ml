@@ -21,8 +21,9 @@ open Impl_common
 
 type state = {
   ctx : ctx;
-  mutable pinned : (Version.t * Oid.Set.t) option;
+  mutable pinned : Version.t option;
   mutable yielded : Oid.Set.t;
+  mutable pool : Pool.t; (* the last reply's members minus [yielded] *)
 }
 
 let coordinator st = st.ctx.sref.Weakset_store.Protocol.coordinator
@@ -33,23 +34,22 @@ let set_id st = st.ctx.sref.Weakset_store.Protocol.set_id
    reached its first-state has no computation to judge. *)
 let rec ensure_open st =
   match st.pinned with
-  | Some pin -> pin
+  | Some version -> version
   | None -> (
       let gen = signal_generation st.ctx in
       match
         Client.dir_read_direct st.ctx.client ~from:(coordinator st) ~set_id:(set_id st)
       with
       | Ok (version, members) ->
-          let pool = Oid.Set.of_list members in
-          st.pinned <- Some (version, pool);
-          inst_first ~version ~linearised:pool st.ctx;
-          (version, pool)
+          st.pinned <- Some version;
+          inst_first ~version ~linearised:members st.ctx;
+          version
       | Error _ ->
           wait_for_change st.ctx ~seen_generation:gen;
           ensure_open st)
 
 let next st () =
-  let version, _ = ensure_open st in
+  let version = ensure_open st in
   inst_started st.ctx;
   let rec attempt ~refresh =
     (* The recorded pre-state must be the one the invocation finally acts
@@ -67,15 +67,14 @@ let next st () =
     with
     | Error _ -> block_and_retry ()
     | Ok (_, members) -> (
-        let members = Oid.Set.of_list members in
+        st.pool <- Pool.refresh st.pool ~skip:(fun o -> Oid.Set.mem o st.yielded) members;
         inst_retry ~version ~linearised:members st.ctx;
-        let remaining = Oid.Set.diff members st.yielded in
-        if Oid.Set.is_empty remaining then begin
+        if Pool.is_empty st.pool then begin
           inst_completed st.ctx Weakset_spec.Sstate.Returns;
           Iterator.Done
         end
         else
-          match pick_reachable st.ctx remaining with
+          match pick st.ctx st.pool with
           | None ->
               (* Pinned members exist but none is accessible: block until
                  the failure is repaired — never signal. *)
@@ -84,6 +83,7 @@ let next st () =
               match Client.fetch st.ctx.client oid with
               | Ok v ->
                   st.yielded <- Oid.Set.add oid st.yielded;
+                  Pool.remove st.pool oid;
                   inst_yield st.ctx oid;
                   Iterator.Yield (oid, v)
               | Error
@@ -99,7 +99,7 @@ let next st () =
   attempt ~refresh:false
 
 let open_ ctx =
-  let st = { ctx; pinned = None; yielded = Oid.Set.empty } in
+  let st = { ctx; pinned = None; yielded = Oid.Set.empty; pool = Pool.empty } in
   Iterator.make ~next:(next st)
     ~close:(fun () -> inst_detach ctx)
     ?monitor:(Option.map Instrument.monitor ctx.instrument)

@@ -9,6 +9,7 @@ type state = {
   mutable opened : bool;
   mutable yielded : Oid.Set.t;
   mutable dead : Oid.Set.t; (* members whose contents are permanently gone *)
+  mutable pool : Pool.t; (* the last reply's members minus [yielded] and [dead] *)
 }
 
 let ensure_open st =
@@ -56,7 +57,10 @@ let next st () =
         with
         | Error _ -> block_and_retry ()
         | Ok (version, members) -> (
-            let members = Oid.Set.of_list members in
+            st.pool <-
+              Pool.refresh st.pool
+                ~skip:(fun o -> Oid.Set.mem o st.yielded || Oid.Set.mem o st.dead)
+                members;
             (* Linearise at the decisive membership read.  A coordinator
                reply is authoritative, so record exactly what it delivered
                as the pre-state; a replica reply is deliberately stale and
@@ -66,13 +70,12 @@ let next st () =
             if Weakset_net.Nodeid.equal host coord then
               inst_retry ~version ~linearised:members st.ctx
             else inst_retry st.ctx;
-            let remaining = Oid.Set.diff (Oid.Set.diff members st.yielded) st.dead in
-            if Oid.Set.is_empty remaining then begin
+            if Pool.is_empty st.pool then begin
               inst_completed st.ctx Weakset_spec.Sstate.Returns;
               Iterator.Done
             end
             else
-              match pick_reachable st.ctx remaining with
+              match pick st.ctx st.pool with
               | None ->
                   (* Members exist but none is accessible: block until the
                      failure is repaired — never signal (Figure 6). *)
@@ -81,12 +84,14 @@ let next st () =
                   match Client.fetch st.ctx.client oid with
                   | Ok v ->
                       st.yielded <- Oid.Set.add oid st.yielded;
+                      Pool.remove st.pool oid;
                       inst_yield st.ctx oid;
                       Iterator.Yield (oid, v)
                   | Error Client.No_such_object ->
                       (* A stale view listed a member whose contents are
                          gone; skip it rather than retry forever. *)
                       st.dead <- Oid.Set.add oid st.dead;
+                      Pool.remove st.pool oid;
                       attempt ~refresh:true
                   | Error
                       ( Client.Unreachable | Client.Timeout | Client.No_service
@@ -97,7 +102,14 @@ let next st () =
 
 let open_ ?(read_nearest_replica = false) ctx =
   let st =
-    { ctx; read_nearest_replica; opened = false; yielded = Oid.Set.empty; dead = Oid.Set.empty }
+    {
+      ctx;
+      read_nearest_replica;
+      opened = false;
+      yielded = Oid.Set.empty;
+      dead = Oid.Set.empty;
+      pool = Pool.empty;
+    }
   in
   Iterator.make ~next:(next st)
     ~close:(fun () -> inst_detach ctx)

@@ -153,8 +153,9 @@ val dir_read_direct :
 
 (** [dir_read_at t ~from ~set_id ~version] asks the coordinator to
     reconstruct the membership exactly as it stood at [version]
-    (snapshot-at-version, {!Protocol.request.Dir_read_at}).  Never
-    cached; replicas answer [No_service]. *)
+    (snapshot-at-version, {!Protocol.request.Dir_read_at}).  A [version]
+    beyond the directory's head is answered with the head's membership
+    and version.  Never cached; replicas answer [No_service]. *)
 val dir_read_at :
   ?parent:int ->
   t ->

@@ -4,13 +4,27 @@ let pp_op fmt = function
   | Add o -> Format.fprintf fmt "add %a" Oid.pp o
   | Remove o -> Format.fprintf fmt "remove %a" Oid.pp o
 
+type listing = { mutable set : Oid.Set.t; mutable list : Oid.t list }
+
+let listing () = { set = Oid.Set.empty; list = [] }
+
+let list_of l set =
+  if l.set == set then l.list
+  else begin
+    let list = Oid.Set.elements set in
+    l.set <- set;
+    l.list <- list;
+    list
+  end
+
 type t = {
   mutable version : Version.t;
   mutable members : Oid.Set.t;
   mutable log : (Version.t * op) list; (* newest first *)
+  listed : listing; (* of [members], refreshed on the first read after a change *)
 }
 
-let create () = { version = Version.zero; members = Oid.Set.empty; log = [] }
+let create () = { version = Version.zero; members = Oid.Set.empty; log = []; listed = listing () }
 
 let version t = t.version
 let members t = t.members
@@ -46,3 +60,8 @@ let members_at t v =
         | Add o -> Oid.Set.remove o acc
         | Remove o -> Oid.Set.add o acc)
     t.members t.log
+
+let elements t = list_of t.listed t.members
+
+let elements_at t v =
+  if Version.( <= ) t.version v then elements t else Oid.Set.elements (members_at t v)

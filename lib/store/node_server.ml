@@ -35,7 +35,11 @@ type replica_state = {
   of_ : Nodeid.t;
   mutable r_version : Version.t;
   mutable r_members : Oid.Set.t;
+  r_listed : Directory.listing; (* of [r_members], shared like {!Directory.elements} *)
 }
+
+let replica_read r : Protocol.response =
+  Members { version = r.r_version; members = Directory.list_of r.r_listed r.r_members }
 
 (* Consensus attachment (lib/repl): when a replication group governs
    some of this node's directories, client-facing mutations detour
@@ -247,14 +251,14 @@ let handle t req : Protocol.response =
           Members_leased
             {
               version = Directory.version d.dir;
-              members = Oid.Set.elements (Directory.members d.dir);
+              members = Directory.elements d.dir;
               lease = t.lease_ttl;
             }
       | None -> (
           (* Replicas serve already-stale views and never see the
              mutations, so they cannot promise callbacks: no lease. *)
           match Hashtbl.find_opt t.replicas set_id with
-          | Some r -> Members { version = r.r_version; members = Oid.Set.elements r.r_members }
+          | Some r -> replica_read r
           | None -> No_service))
   | Inval _ ->
       (* Callbacks are addressed to client caches (which claim them via
@@ -263,21 +267,24 @@ let handle t req : Protocol.response =
   | Dir_read { set_id } -> (
       match dir_state t set_id with
       | Some d ->
-          Members
-            { version = Directory.version d.dir; members = Oid.Set.elements (Directory.members d.dir) }
+          Members { version = Directory.version d.dir; members = Directory.elements d.dir }
       | None -> (
           match Hashtbl.find_opt t.replicas set_id with
-          | Some r -> Members { version = r.r_version; members = Oid.Set.elements r.r_members }
+          | Some r -> replica_read r
           | None -> No_service))
   | Dir_read_at { set_id; version } -> (
       (* Snapshot-at-version: reconstruct the membership exactly as it
          stood at [version] from the authoritative mutation log.  Only
          the coordinator can answer — replicas hold flattened views with
          no history — and no lock is taken: the log is immutable below
-         the current version. *)
+         the current version.  A request beyond the head is served the
+         head's membership, so the reply names the head's version rather
+         than one the directory has not reached. *)
       match dir_state t set_id with
       | Some d ->
-          Members { version; members = Oid.Set.elements (Directory.members_at d.dir version) }
+          let head = Directory.version d.dir in
+          let version = if Version.( < ) version head then version else head in
+          Members { version; members = Directory.elements_at d.dir version }
       | None -> No_service)
   | Dir_add { set_id; oid } -> (
       match dir_state t set_id with
@@ -547,7 +554,13 @@ let repl_apply_committed t ~set_id op =
 
 let host_replica t ~set_id ~of_ ~interval ~until =
   Hashtbl.replace t.replicas set_id
-    { set_id; of_; r_version = Version.zero; r_members = Oid.Set.empty };
+    {
+      set_id;
+      of_;
+      r_version = Version.zero;
+      r_members = Oid.Set.empty;
+      r_listed = Directory.listing ();
+    };
   let eng = Rpc.engine t.rpc in
   Engine.spawn eng
     ~name:(Printf.sprintf "replica-sync-%s-set%d" (Nodeid.to_string t.node) set_id)

@@ -1009,6 +1009,114 @@ let prop_grow_only_conforms_under_faults_and_mutation =
       let (_ : int) = Engine.run ~until:3_000.0 w.eng in
       !ok && Engine.crashes w.eng = [])
 
+(* ------------------------------------------------------------------ *)
+(* Candidate pool                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The closest-first choice as it was made before candidate pools: fold
+   the whole remaining set in ascending oid order and keep the first
+   strictly better (latency, num).  The pool must choose exactly this. *)
+let reference_pick topo me candidates =
+  let better (oid, lat) (boid, blat) = lat < blat || (lat = blat && Oid.num oid < Oid.num boid) in
+  Oid.Set.fold
+    (fun oid best ->
+      match Topology.path_latency topo me (Oid.home oid) with
+      | None -> best
+      | Some lat -> (
+          match best with
+          | Some b when not (better (oid, lat) b) -> best
+          | Some _ | None -> Some (oid, lat)))
+    candidates None
+  |> Option.map fst
+
+(* A clique, star or line whose links get latencies 1 or 2, so equal
+   path latencies (and hence the oid tie-break) are common. *)
+let random_pool_topology rs =
+  let topo = Topology.create () in
+  let n = 2 + Random.State.int rs 6 in
+  (match Random.State.int rs 3 with
+  | 0 -> ignore (Topology.clique topo n ~latency:1.0)
+  | 1 -> ignore (Topology.star topo n ~latency:1.0)
+  | _ -> ignore (Topology.line topo n ~latency:1.0));
+  let nodes = Array.of_list (Topology.nodes topo) in
+  Array.iter
+    (fun a ->
+      Array.iter
+        (fun b ->
+          if Nodeid.compare a b < 0 && Topology.has_link topo a b then
+            Topology.add_link topo a b ~latency:(float_of_int (1 + Random.State.int rs 2)))
+        nodes)
+    nodes;
+  (topo, nodes)
+
+(* Flip a node or a link; the client's own node stays up. *)
+let random_fault rs topo nodes ~me =
+  let n = Array.length nodes in
+  let a = nodes.(Random.State.int rs n) and b = nodes.(Random.State.int rs n) in
+  if Random.State.bool rs then begin
+    if not (Nodeid.equal a me) then Topology.set_node_up topo a (not (Topology.node_up topo a))
+  end
+  else if Topology.has_link topo a b then
+    Topology.set_link_up topo a b (not (Topology.link_up topo a b))
+
+let prop_pool_pick_matches_reference =
+  QCheck.Test.make ~name:"pool pick equals the whole-set closest-first scan" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let topo, nodes = random_pool_topology rs in
+      let n = Array.length nodes in
+      let me = nodes.(Random.State.int rs n) in
+      for _ = 1 to Random.State.int rs 3 do
+        random_fault rs topo nodes ~me
+      done;
+      let eng = Engine.create () in
+      let client = Client.create (Rpc.create eng topo) me in
+      let ctx =
+        Impl_common.make_ctx client { Protocol.set_id; coordinator = nodes.(0); replicas = [] }
+      in
+      (* Few nums over several homes: one num often lives on two homes. *)
+      let members =
+        List.init (Random.State.int rs 24) (fun _ ->
+            Oid.make ~num:(Random.State.int rs 8) ~home:nodes.(Random.State.int rs n))
+        |> Oid.Set.of_list
+      in
+      let source = ref (Oid.Set.elements members) in
+      (* [skip] is what the iterator has yielded or found dead. *)
+      let skip = ref Oid.Set.empty in
+      let pool = ref (Impl_common.Pool.of_list ~skip:(fun _ -> false) !source) in
+      let agrees () =
+        let remaining = Oid.Set.diff members !skip in
+        Impl_common.pick ctx !pool = reference_pick topo me remaining
+        && Impl_common.Pool.is_empty !pool = Oid.Set.is_empty remaining
+      in
+      let ok = ref (agrees ()) in
+      for _ = 1 to 80 do
+        (match Random.State.int rs 5 with
+        | 0 | 1 -> (
+            (* A yield, or optimistic's dead: the picked element leaves. *)
+            match Impl_common.pick ctx !pool with
+            | Some oid ->
+                skip := Oid.Set.add oid !skip;
+                Impl_common.Pool.remove !pool oid
+            | None -> ())
+        | 2 ->
+            (* The same reply again keeps the pool itself. *)
+            let again =
+              Impl_common.Pool.refresh !pool ~skip:(fun o -> Oid.Set.mem o !skip) !source
+            in
+            ok := !ok && again == !pool
+        | 3 ->
+            (* An equal but physically different list rebuilds it. *)
+            source := List.map Fun.id !source;
+            let old = !pool in
+            pool := Impl_common.Pool.refresh old ~skip:(fun o -> Oid.Set.mem o !skip) !source;
+            ok := !ok && (!pool != old || !source = [])
+        | _ -> random_fault rs topo nodes ~me);
+        ok := !ok && agrees ()
+      done;
+      !ok)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1091,4 +1199,5 @@ let () =
             prop_immutable_conforms_under_random_faults;
             prop_grow_only_conforms_under_faults_and_mutation;
           ] );
+      ("pool", qcheck [ prop_pool_pick_matches_reference ]);
     ]

@@ -109,6 +109,59 @@ let prop_directory_members_at_roundtrip =
         (fun (v, expected) -> Oid.Set.equal (Directory.members_at d v) expected)
         !snapshots)
 
+(* [elements] is one shared list per membership value: idempotent no-ops
+   keep it, and every effective apply replaces it with a fresh one (an
+   effective apply changes the membership, so old and new cannot both be
+   the empty list). *)
+let test_directory_elements_shared () =
+  let d = Directory.create () in
+  let a = mkoid 1 and b = mkoid 2 and c = mkoid ~home:1 1 in
+  let prev = ref (Directory.elements d) in
+  check_bool "empty at first" true (!prev = []);
+  List.iteri
+    (fun i op ->
+      let before = Directory.version d in
+      ignore (Directory.apply d op);
+      let l = Directory.elements d in
+      let what = Printf.sprintf "step %d" i in
+      Alcotest.(check (list oid_testable))
+        (what ^ ": equals the members") (Oid.Set.elements (Directory.members d)) l;
+      if Version.equal before (Directory.version d) then
+        check_bool (what ^ ": no-op keeps the list") true (l == !prev)
+      else check_bool (what ^ ": effective apply gives a fresh list") true (l != !prev);
+      check_bool (what ^ ": a re-read shares it") true (Directory.elements d == l);
+      check_bool (what ^ ": elements_at the head shares it") true
+        (Directory.elements_at d (Directory.version d) == l);
+      prev := l)
+    Directory.
+      [
+        Add a; Add b; Add a; Remove (mkoid 9); Add c; Remove a; Remove a; Remove b; Remove c;
+        Remove c; Add b;
+      ]
+
+let prop_directory_elements_at_matches_members_at =
+  QCheck.Test.make ~name:"elements_at equals members_at below, at and beyond the head"
+    ~count:200
+    QCheck.(list_of_size Gen.(0 -- 60) (pair (int_bound 2) (int_range 0 8)))
+    (fun script ->
+      let d = Directory.create () in
+      List.for_all
+        (fun (kind, n) ->
+          match kind with
+          | 0 ->
+              ignore (Directory.apply d (Directory.Add (mkoid n)));
+              true
+          | 1 ->
+              ignore (Directory.apply d (Directory.Remove (mkoid n)));
+              true
+          | _ ->
+              (* [n] spans versions below the head, the head, and past it. *)
+              let v = Version.of_int (n mod (Version.to_int (Directory.version d) + 3)) in
+              let l = Directory.elements_at d v in
+              l = Oid.Set.elements (Directory.members_at d v)
+              && (Version.( < ) v (Directory.version d) || l == Directory.elements d))
+        script)
+
 (* ------------------------------------------------------------------ *)
 (* Lockmgr                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -290,6 +343,35 @@ let test_dir_read_from_coordinator () =
   in
   Alcotest.(check (list oid_testable)) "one member" [ a ] members
 
+(* A Dir_read_at reply names the version whose membership it carries:
+   below the head the requested one, beyond it the head (the read is
+   clamped there, and no later version exists yet). *)
+let test_dir_read_at_reply_version () =
+  let cl = make_cluster () in
+  Node_server.host_directory cl.servers.(0) ~set_id:7 ~policy:Node_server.Immediate;
+  let client = Client.create cl.rpc cl.nodes.(2) in
+  let sref = sref cl in
+  let a = Oid.make ~num:1 ~home:cl.nodes.(1) in
+  let b = Oid.make ~num:2 ~home:cl.nodes.(3) in
+  let read v =
+    match Client.dir_read_at client ~from:sref.Protocol.coordinator ~set_id:7 ~version:v with
+    | Ok (version, members) -> (Version.to_int version, members)
+    | Error e -> Alcotest.failf "dir_read_at failed: %s" (Client.error_to_string e)
+  in
+  let below, at, beyond =
+    in_fiber cl (fun () ->
+        ignore (Client.dir_add client sref a);
+        ignore (Client.dir_add client sref b);
+        (read (Version.of_int 1), read (Version.of_int 2), read (Version.of_int 9)))
+  in
+  let check_reply what (ev, em) (v, m) =
+    check_int (what ^ " version") ev v;
+    Alcotest.(check (list oid_testable)) (what ^ " members") em m
+  in
+  check_reply "below the head" (1, [ a ]) below;
+  check_reply "at the head" (2, [ a; b ]) at;
+  check_reply "beyond the head" (2, [ a; b ]) beyond
+
 let test_dir_no_service () =
   let cl = make_cluster () in
   (* No directory hosted anywhere. *)
@@ -399,6 +481,43 @@ let test_replica_serves_stale_reads () =
       | Error e -> Alcotest.failf "replica read failed: %s" (Client.error_to_string e));
   let (_ : int) = Engine.run ~until:100.0 cl.eng in
   ()
+
+(* A replica's reads share one list per view, like the directory's: a
+   pull that brings nothing keeps it, and one that changes the view
+   replaces it with a fresh list of the new members. *)
+let test_replica_elements_shared () =
+  let cl = make_cluster () in
+  Node_server.host_directory cl.servers.(0) ~set_id:7 ~policy:Node_server.Immediate;
+  (* No background pulls: [until] has already passed. *)
+  Node_server.host_replica cl.servers.(1) ~set_id:7 ~of_:cl.nodes.(0) ~interval:1000.0 ~until:0.0;
+  let truth = Node_server.directory_truth cl.servers.(0) ~set_id:7 in
+  let replica = cl.servers.(1) in
+  let client = Client.create cl.rpc cl.nodes.(2) in
+  let a = Oid.make ~num:1 ~home:cl.nodes.(3) and b = Oid.make ~num:2 ~home:cl.nodes.(2) in
+  let read () =
+    match Client.dir_read_direct client ~from:cl.nodes.(1) ~set_id:7 with
+    | Ok (_, members) -> members
+    | Error e -> Alcotest.failf "replica read failed: %s" (Client.error_to_string e)
+  in
+  let step prev what ops ~changes =
+    List.iter (fun op -> ignore (Directory.apply truth op)) ops;
+    check_bool (what ^ ": pull succeeds") true (Node_server.replica_pull_now replica ~set_id:7);
+    let l = read () in
+    let _, view = Node_server.replica_view replica ~set_id:7 in
+    Alcotest.(check (list oid_testable)) (what ^ ": equals the view") (Oid.Set.elements view) l;
+    check_bool (what ^ ": identity") changes (l != prev);
+    check_bool (what ^ ": a re-read shares it") true (read () == l);
+    l
+  in
+  in_fiber cl (fun () ->
+      let l = read () in
+      let l = step l "empty pull" [] ~changes:false in
+      let l = step l "add a" [ Directory.Add a ] ~changes:true in
+      let l = step l "no-op" [ Directory.Add a ] ~changes:false in
+      let l = step l "add b" [ Directory.Add b ] ~changes:true in
+      let l = step l "remove then re-add a" [ Directory.Remove a; Directory.Add a ] ~changes:true in
+      let l = step l "remove both" [ Directory.Remove a; Directory.Remove b ] ~changes:true in
+      ignore (step l "nothing new" [] ~changes:false))
 
 let test_replica_stays_stale_under_partition () =
   let cl = make_cluster () in
@@ -634,7 +753,10 @@ let () =
         :: Alcotest.test_case "ops_since" `Quick test_directory_ops_since
         :: Alcotest.test_case "members_at" `Quick test_directory_members_at
         :: Alcotest.test_case "history boundaries" `Quick test_directory_history_boundaries
-        :: qcheck [ prop_directory_members_at_roundtrip ] );
+        :: Alcotest.test_case "elements shared" `Quick test_directory_elements_shared
+        :: qcheck
+             [ prop_directory_members_at_roundtrip; prop_directory_elements_at_matches_members_at ]
+      );
       ( "lockmgr",
         [
           Alcotest.test_case "readers share" `Quick test_lock_readers_share;
@@ -654,6 +776,7 @@ let () =
         [
           Alcotest.test_case "ops via rpc" `Quick test_dir_ops_via_rpc;
           Alcotest.test_case "read from coordinator" `Quick test_dir_read_from_coordinator;
+          Alcotest.test_case "read_at reply version" `Quick test_dir_read_at_reply_version;
           Alcotest.test_case "no service" `Quick test_dir_no_service;
           Alcotest.test_case "lock rpc roundtrip" `Quick test_lock_rpc_roundtrip;
           Alcotest.test_case "remote writer blocks reader" `Quick
@@ -671,6 +794,7 @@ let () =
         [
           Alcotest.test_case "sync and staleness" `Quick test_replica_sync_and_staleness;
           Alcotest.test_case "serves stale reads" `Quick test_replica_serves_stale_reads;
+          Alcotest.test_case "elements shared" `Quick test_replica_elements_shared;
           Alcotest.test_case "stays stale under partition" `Quick
             test_replica_stays_stale_under_partition;
         ] );
