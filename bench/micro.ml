@@ -51,17 +51,16 @@ let bench_engine_fibers n =
          done;
          ignore (Weakset_sim.Engine.run eng)))
 
-let bench_pqueue n =
+let bench_timers n =
   Test.make
-    ~name:(Printf.sprintf "pqueue: %d push+pop" n)
+    ~name:(Printf.sprintf "engine: %d timers, half cancelled, run" n)
     (Staged.stage (fun () ->
-         let q = Weakset_sim.Pqueue.create ~leq:( <= ) in
+         let eng = Weakset_sim.Engine.create () in
          for i = n downto 1 do
-           Weakset_sim.Pqueue.push q i
+           let tm = Weakset_sim.Engine.timer eng ~after:(float_of_int i) ignore in
+           if i land 1 = 0 then Weakset_sim.Engine.cancel eng tm
          done;
-         for _ = 1 to n do
-           ignore (Weakset_sim.Pqueue.pop q)
-         done))
+         ignore (Weakset_sim.Engine.run eng)))
 
 let bench_rng =
   let rng = Weakset_sim.Rng.create 1L in
@@ -87,7 +86,7 @@ let tests =
       bench_spec_check 10;
       bench_spec_check 100;
       bench_engine_fibers 1000;
-      bench_pqueue 1000;
+      bench_timers 1000;
       bench_rng;
       bench_full_iteration;
       bench_full_iteration_instrumented;

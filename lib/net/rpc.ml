@@ -280,8 +280,10 @@ let ensure_demux t node =
     let mb = Transport.mailbox t.transport node in
     Engine.spawn eng ~name:(Printf.sprintf "rpc-demux-%s" (Nodeid.to_string node)) (fun () ->
         let rec loop () =
-          (* A long timeout keeps the fiber from pinning the event queue
-             forever once the simulation is otherwise quiescent. *)
+          (* The long timeout lets the demux fiber end once the
+             simulation is otherwise quiescent, instead of staying parked
+             forever.  Each frame that arrives first cancels it
+             ([Engine.cancel]), so an answered wait leaves only a tick. *)
           match Mailbox.recv_timeout eng mb 1.0e9 with
           | None -> ()
           | Some env ->

@@ -1,6 +1,6 @@
 (** Deterministic discrete-event simulation engine with cooperative fibers.
 
-    The engine maintains a virtual clock and a priority queue of events.
+    The engine maintains a virtual clock and a binary heap of events.
     Fibers are ordinary OCaml functions executed under an effect handler:
     when a fiber performs {!sleep} or {!suspend} it is parked and the engine
     proceeds to the next event.  Ties in the event queue are broken by a
@@ -45,8 +45,39 @@ val bus : t -> Weakset_obs.Bus.t
 val metrics : t -> Weakset_obs.Metrics.t
 
 (** [schedule t ~after f] runs callback [f] at virtual time [now t +. after].
-    [after] must be non-negative. *)
+    [after] must be non-negative.  It is {!timer} with the handle
+    dropped. *)
 val schedule : t -> after:float -> (unit -> unit) -> unit
+
+(** {1 Cancellable timers}
+
+    A timer is a scheduled callback with a handle.  Every event, timer
+    or not, owns a {e tick}: its [(time, seq)] slot in the event order.
+    {!cancel} removes the callback but keeps the tick, so {!run} still
+    spends one step on it and advances the clock to its time exactly as
+    if a no-op callback had fired there.  Cancelling therefore changes
+    no step count, no [now] and no event: only the memory the dead
+    callback held and the heap work of carrying it. *)
+
+type timer
+
+(** [timer t ~after f] is {!schedule} and returns a handle for
+    {!cancel}.  The [Sched] event is emitted here, as for {!schedule},
+    whether or not the timer is cancelled later. *)
+val timer : t -> after:float -> (unit -> unit) -> timer
+
+(** [cancel t tm] drops [tm]'s callback, in O(log n), if it has not run
+    yet; its tick stays (see above).  Cancelling a timer that has
+    already fired, or cancelling twice, does nothing.  Raises
+    [Invalid_argument] for a pending timer of another engine. *)
+val cancel : t -> timer -> unit
+
+(** A handle that is never pending, so {!cancel} ignores it.  It
+    initialises a mutable timer field before the timer is armed. *)
+val no_timer : timer
+
+(** Events waiting to run, cancelled ones excluded. *)
+val pending : t -> int
 
 (** [spawn t ~name f] starts fiber [f] at the current virtual time. *)
 val spawn : t -> ?name:string -> (unit -> unit) -> unit
@@ -75,9 +106,10 @@ val suspend : t -> ((('a, exn) result -> unit) -> unit) -> 'a
 
 (** {1 Running} *)
 
-(** [run ?until ?max_steps t] processes events in time order until the queue
-    is empty, virtual time would exceed [until], or [max_steps] events have
-    run.  Returns the number of events processed. *)
+(** [run ?until ?max_steps t] processes events in [(time, seq)] order
+    until the queue is empty, virtual time would exceed [until], or
+    [max_steps] events have run.  The tick of a cancelled timer counts as
+    an event here.  Returns the number of events processed. *)
 val run : ?until:float -> ?max_steps:int -> t -> int
 
 (** [run_and_check t] runs to quiescence and raises [Failure] if any fiber

@@ -36,8 +36,17 @@ let read_timeout eng iv d =
   | Full v -> Some v
   | Empty _ ->
       Engine.suspend eng (fun resume ->
-          (match iv.state with
-          | Full v -> resume (Ok (Some v))
+          match iv.state with
+          | Full v ->
+              resume (Ok (Some v));
+              (* Arm and cancel the timer anyway, so its [Sched] event and
+                 tick stay where they always were. *)
+              Engine.cancel eng (Engine.timer eng ~after:d (fun () -> resume (Ok None)))
           | Empty waiters ->
-              iv.state <- Empty ((fun v -> resume (Ok (Some v))) :: waiters));
-          Engine.schedule eng ~after:d (fun () -> resume (Ok None)))
+              let tm = Engine.timer eng ~after:d (fun () -> resume (Ok None)) in
+              iv.state <-
+                Empty
+                  ((fun v ->
+                     Engine.cancel eng tm;
+                     resume (Ok (Some v)))
+                  :: waiters))

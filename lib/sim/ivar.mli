@@ -23,5 +23,6 @@ val try_fill : Engine.t -> 'a t -> 'a -> bool
 val read : Engine.t -> 'a t -> 'a
 
 (** [read_timeout eng iv d] is [Some v] if the ivar is filled within [d]
-    units of virtual time, [None] otherwise. *)
+    units of virtual time, [None] otherwise.  A fill that comes first
+    cancels the timeout ({!Engine.cancel}); its tick stays. *)
 val read_timeout : Engine.t -> 'a t -> float -> 'a option

@@ -1,4 +1,11 @@
-type 'a waiter = { mutable alive : bool; deliver : 'a -> unit }
+(* [timer] is the waiter's timeout, or [Engine.no_timer] for [recv];
+   [send] cancels it, so a timer that fires always finds its waiter
+   alive. *)
+type 'a waiter = {
+  mutable alive : bool;
+  deliver : 'a -> unit;
+  mutable timer : Engine.timer;
+}
 
 type 'a t = { queue : 'a Queue.t; waiters : 'a waiter Queue.t (* oldest first *) }
 
@@ -12,10 +19,10 @@ let rec pop_waiter mb =
   | None -> None
   | Some w -> if w.alive then Some w else pop_waiter mb
 
-let send _eng mb msg =
+let send eng mb msg =
   match pop_waiter mb with
   | Some w ->
-      w.alive <- false;
+      Engine.cancel eng w.timer;
       w.deliver msg
   | None -> Queue.push msg mb.queue
 
@@ -24,7 +31,9 @@ let recv eng mb =
   | Some msg -> msg
   | None ->
       Engine.suspend eng (fun resume ->
-          let w = { alive = true; deliver = (fun msg -> resume (Ok msg)) } in
+          let w =
+            { alive = true; deliver = (fun msg -> resume (Ok msg)); timer = Engine.no_timer }
+          in
           Queue.push w mb.waiters)
 
 let recv_timeout eng mb d =
@@ -32,13 +41,18 @@ let recv_timeout eng mb d =
   | Some msg -> Some msg
   | None ->
       Engine.suspend eng (fun resume ->
-          let w = { alive = true; deliver = (fun msg -> resume (Ok (Some msg))) } in
+          let w =
+            {
+              alive = true;
+              deliver = (fun msg -> resume (Ok (Some msg)));
+              timer = Engine.no_timer;
+            }
+          in
           Queue.push w mb.waiters;
-          Engine.schedule eng ~after:d (fun () ->
-              if w.alive then begin
+          w.timer <-
+            Engine.timer eng ~after:d (fun () ->
                 w.alive <- false;
-                resume (Ok None)
-              end))
+                resume (Ok None)))
 
 let try_recv mb = Queue.take_opt mb.queue
 

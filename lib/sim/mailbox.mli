@@ -17,7 +17,9 @@ val send : Engine.t -> 'a t -> 'a -> unit
 val recv : Engine.t -> 'a t -> 'a
 
 (** [recv_timeout eng mb d] is [Some msg] if one arrives within [d] time
-    units, [None] otherwise. *)
+    units, [None] otherwise.  A message that arrives first cancels the
+    timeout ({!Engine.cancel}): its callback leaves the event heap and
+    only its tick stays, so a long [d] costs no memory once answered. *)
 val recv_timeout : Engine.t -> 'a t -> float -> 'a option
 
 (** [try_recv mb] dequeues without blocking. *)

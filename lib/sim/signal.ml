@@ -10,8 +10,12 @@ let wait eng s =
 
 let wait_timeout eng s d =
   Engine.suspend eng (fun resume ->
-      s.waiters <- (fun () -> resume (Ok true)) :: s.waiters;
-      Engine.schedule eng ~after:d (fun () -> resume (Ok false)))
+      let tm = Engine.timer eng ~after:d (fun () -> resume (Ok false)) in
+      s.waiters <-
+        (fun () ->
+          Engine.cancel eng tm;
+          resume (Ok true))
+        :: s.waiters)
 
 let broadcast _eng s =
   let ws = List.rev s.waiters in

@@ -16,7 +16,8 @@ val generation : t -> int
 val wait : Engine.t -> t -> unit
 
 (** [wait_timeout eng s d] waits for a broadcast for at most [d] time units;
-    returns [true] if woken by a broadcast, [false] on timeout. *)
+    returns [true] if woken by a broadcast, [false] on timeout.  A
+    broadcast that comes first cancels the timeout ({!Engine.cancel}). *)
 val wait_timeout : Engine.t -> t -> float -> bool
 
 (** [broadcast eng s] wakes all current waiters. *)

@@ -9,6 +9,7 @@ type waiter = {
   w_owner : int;
   w_notify : bool -> unit;
   mutable w_state : w_state;
+  mutable w_timer : Engine.timer;  (* patience, cancelled on grant *)
 }
 
 type t = {
@@ -38,6 +39,7 @@ let hold t kind ~owner =
 
 let grant t w =
   w.w_state <- Granted;
+  Engine.cancel t.engine w.w_timer;
   hold t w.w_kind ~owner:w.w_owner;
   w.w_notify true
 
@@ -79,6 +81,7 @@ let acquire t kind ~owner =
               w_owner = owner;
               w_notify = (fun ok -> resume (Ok ok));
               w_state = Waiting;
+              w_timer = Engine.no_timer;
             }
             t.queue)
     in
@@ -96,17 +99,19 @@ let acquire_within t kind ~owner ~patience =
             w_owner = owner;
             w_notify = (fun ok -> resume (Ok ok));
             w_state = Waiting;
+            w_timer = Engine.no_timer;
           }
         in
         Queue.push w t.queue;
-        Engine.schedule t.engine ~after:patience (fun () ->
-            if w.w_state = Waiting then begin
-              w.w_state <- Cancelled;
-              (* A withdrawn head must not block compatible waiters
-                 behind it. *)
-              pump t;
-              w.w_notify false
-            end))
+        w.w_timer <-
+          Engine.timer t.engine ~after:patience (fun () ->
+              if w.w_state = Waiting then begin
+                w.w_state <- Cancelled;
+                (* A withdrawn head must not block compatible waiters
+                   behind it. *)
+                pump t;
+                w.w_notify false
+              end))
 
 let release t ~owner =
   (match t.writer with

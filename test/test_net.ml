@@ -288,6 +288,25 @@ let test_rpc_roundtrip () =
   | Error e -> Alcotest.failf "rpc failed: %s" (Rpc.error_to_string e));
   check_float "round trip = 2 x latency" 2.0 !finished_at
 
+let test_rpc_answered_waits_leave_the_heap () =
+  (* Every answered wait cancels its timer: the demux's long receive
+     timeout and the caller's reply timeout.  So the engine's pending
+     events stay bounded by the fibers in flight, however many calls go
+     by, instead of growing by one per frame. *)
+  let eng, _, rpc, client, server = echo_setup () in
+  let calls = 10_000 in
+  let ok = ref 0 and peak = ref 0 in
+  Engine.spawn eng (fun () ->
+      for _ = 1 to calls do
+        (match Rpc.call rpc ~src:client ~dst:server ~timeout:10.0 "hi" with
+        | Ok _ -> incr ok
+        | Error _ -> ());
+        peak := max !peak (Engine.pending eng)
+      done);
+  Engine.run_and_check eng;
+  check_int "all answered" calls !ok;
+  Alcotest.(check bool) (Printf.sprintf "pending stays small (peak %d)" !peak) true (!peak <= 4)
+
 let test_rpc_service_time () =
   let eng = Engine.create () in
   let topo = Topology.create () in
@@ -959,6 +978,8 @@ let () =
           Alcotest.test_case "late response ignored" `Quick test_rpc_late_response_ignored;
           Alcotest.test_case "concurrent calls" `Quick test_rpc_concurrent_calls;
           Alcotest.test_case "handler can block" `Quick test_rpc_handler_can_block;
+          Alcotest.test_case "answered waits leave the heap" `Quick
+            test_rpc_answered_waits_leave_the_heap;
         ] );
       ( "fault",
         [

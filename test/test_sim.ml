@@ -1,5 +1,5 @@
 (* Unit and property tests for the weakset_sim library: deterministic PRNG,
-   event queue, effect-based fiber engine, ivars, signals, mailboxes and
+   effect-based fiber engine and its event heap, cancellable timers, ivars, signals, mailboxes and
    statistics accumulators. *)
 
 open Weakset_sim
@@ -134,46 +134,6 @@ let test_rng_pick_list () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Pqueue                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let test_pqueue_basic () =
-  let q = Pqueue.create ~leq:( <= ) in
-  check_bool "empty" true (Pqueue.is_empty q);
-  List.iter (Pqueue.push q) [ 5; 1; 4; 2; 3 ];
-  check_int "length" 5 (Pqueue.length q);
-  Alcotest.(check (option int)) "peek" (Some 1) (Pqueue.peek q);
-  let drained = List.init 5 (fun _ -> Option.get (Pqueue.pop q)) in
-  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 4; 5 ] drained;
-  Alcotest.(check (option int)) "empty pop" None (Pqueue.pop q)
-
-let test_pqueue_interleaved () =
-  let q = Pqueue.create ~leq:( <= ) in
-  Pqueue.push q 3;
-  Pqueue.push q 1;
-  Alcotest.(check (option int)) "pop 1" (Some 1) (Pqueue.pop q);
-  Pqueue.push q 0;
-  Pqueue.push q 2;
-  Alcotest.(check (option int)) "pop 0" (Some 0) (Pqueue.pop q);
-  Alcotest.(check (option int)) "pop 2" (Some 2) (Pqueue.pop q);
-  Alcotest.(check (option int)) "pop 3" (Some 3) (Pqueue.pop q)
-
-let test_pqueue_clear () =
-  let q = Pqueue.create ~leq:( <= ) in
-  List.iter (Pqueue.push q) [ 1; 2; 3 ];
-  Pqueue.clear q;
-  check_bool "cleared" true (Pqueue.is_empty q)
-
-let prop_pqueue_sorts =
-  QCheck.Test.make ~name:"pqueue drains any int list in sorted order" ~count:200
-    QCheck.(list int)
-    (fun l ->
-      let q = Pqueue.create ~leq:( <= ) in
-      List.iter (Pqueue.push q) l;
-      let drained = List.init (List.length l) (fun _ -> Option.get (Pqueue.pop q)) in
-      drained = List.sort compare l)
-
-(* ------------------------------------------------------------------ *)
 (* Engine                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -196,6 +156,266 @@ let test_engine_tie_break_fifo () =
   done;
   ignore (Engine.run eng);
   Alcotest.(check (list int)) "fifo among ties" [ 1; 2; 3; 4; 5 ] (List.rev !seen)
+
+let test_engine_sorted_drain () =
+  let eng = Engine.create () in
+  let seen = ref [] in
+  List.iter
+    (fun d -> Engine.schedule eng ~after:(float_of_int d) (fun () -> seen := d :: !seen))
+    [ 5; 1; 4; 2; 3 ];
+  check_int "pending" 5 (Engine.pending eng);
+  check_int "steps" 5 (Engine.run eng);
+  Alcotest.(check (list int)) "sorted drain" [ 1; 2; 3; 4; 5 ] (List.rev !seen);
+  check_int "drained" 0 (Engine.pending eng)
+
+let test_engine_interleaved () =
+  (* Scheduling between runs: a later schedule at an earlier time runs
+     first, and a tie runs in scheduling order. *)
+  let eng = Engine.create () in
+  let seen = ref [] in
+  let at d name = Engine.schedule eng ~after:d (fun () -> seen := name :: !seen) in
+  at 3.0 "a@3";
+  at 1.0 "b@1";
+  check_int "one step" 1 (Engine.run ~max_steps:1 eng);
+  Alcotest.(check (list string)) "pop b" [ "b@1" ] !seen;
+  at 0.0 "c@1";
+  at 2.0 "d@3";
+  at 1.0 "e@2";
+  ignore (Engine.run eng);
+  Alcotest.(check (list string))
+    "(time, seq) order" [ "b@1"; "c@1"; "e@2"; "a@3"; "d@3" ] (List.rev !seen)
+
+let prop_engine_drains_sorted =
+  QCheck.Test.make ~name:"engine runs any delay list in (time, seq) order" ~count:200
+    QCheck.(list (int_bound 20))
+    (fun delays ->
+      let eng = Engine.create () in
+      let seen = ref [] in
+      List.iteri
+        (fun i d ->
+          Engine.schedule eng ~after:(float_of_int d) (fun () -> seen := (d, i) :: !seen))
+        delays;
+      let expected =
+        List.stable_sort (fun (a, _) (b, _) -> compare a b) (List.mapi (fun i d -> (d, i)) delays)
+      in
+      Engine.run eng = List.length delays && List.rev !seen = expected)
+
+let test_engine_cancel_keeps_tick () =
+  let eng = Engine.create () in
+  let fired = ref [] in
+  let note name () = fired := name :: !fired in
+  let dead = Engine.timer eng ~after:5.0 (note "dead") in
+  let early = Engine.timer eng ~after:1.0 (note "early") in
+  check_int "two pending" 2 (Engine.pending eng);
+  Alcotest.check_raises "another engine's cancel"
+    (Invalid_argument "Engine.cancel: timer of another engine") (fun () ->
+      Engine.cancel (Engine.create ()) dead);
+  Engine.cancel eng dead;
+  Engine.cancel eng dead;
+  check_int "one pending" 1 (Engine.pending eng);
+  check_int "one step" 1 (Engine.run ~until:2.0 eng);
+  Engine.cancel eng early;
+  Engine.cancel eng Engine.no_timer;
+  (* The cancelled timer's tick still takes a step and moves the clock. *)
+  check_int "tick counted" 1 (Engine.run eng);
+  check_float "clock at the tick" 5.0 (Engine.now eng);
+  Alcotest.(check (list string)) "only early fired" [ "early" ] !fired;
+  check_int "nothing pending" 0 (Engine.pending eng)
+
+(* A model test against the event queue as it was before timers could be
+   cancelled: a binary heap ordered by a [leq] closure, where cancelling
+   only swaps the callback for a no-op and leaves the event queued.  The
+   engine must fire the same callbacks in the same order, and every [run]
+   must return the same step count and leave the same clock. *)
+module Ref_engine = struct
+  type ev = {
+    time : float;
+    seq : int;
+    mutable action : unit -> unit;
+    mutable cancelled : bool;
+  }
+
+  type t = {
+    mutable now : float;
+    mutable seq : int;
+    mutable data : ev array;
+    mutable size : int;
+  }
+
+  let leq a b = a.time < b.time || (a.time = b.time && a.seq <= b.seq)
+  let create () = { now = 0.0; seq = 0; data = [||]; size = 0 }
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if leq h.data.(i) h.data.(parent) && not (leq h.data.(parent) h.data.(i)) then begin
+        let tmp = h.data.(i) in
+        h.data.(i) <- h.data.(parent);
+        h.data.(parent) <- tmp;
+        sift_up h parent
+      end
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < h.size && not (leq h.data.(!smallest) h.data.(l)) then smallest := l;
+    if r < h.size && not (leq h.data.(!smallest) h.data.(r)) then smallest := r;
+    if !smallest <> i then begin
+      let tmp = h.data.(i) in
+      h.data.(i) <- h.data.(!smallest);
+      h.data.(!smallest) <- tmp;
+      sift_down h !smallest
+    end
+
+  let push h x =
+    if h.size = Array.length h.data then begin
+      let ndata = Array.make (max 16 (2 * h.size)) x in
+      Array.blit h.data 0 ndata 0 h.size;
+      h.data <- ndata
+    end;
+    h.data.(h.size) <- x;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1)
+
+  let pop h =
+    let top = h.data.(0) in
+    h.size <- h.size - 1;
+    if h.size > 0 then begin
+      h.data.(0) <- h.data.(h.size);
+      sift_down h 0
+    end;
+    top
+
+  let schedule t ~after action =
+    t.seq <- t.seq + 1;
+    let ev = { time = t.now +. after; seq = t.seq; action; cancelled = false } in
+    push t ev;
+    ev
+
+  let cancel ev =
+    ev.cancelled <- true;
+    ev.action <- ignore
+
+  let pending t =
+    let n = ref 0 in
+    for i = 0 to t.size - 1 do
+      if not t.data.(i).cancelled then incr n
+    done;
+    !n
+
+  let run ?(until = infinity) ?(max_steps = max_int) t =
+    let steps = ref 0 in
+    while !steps < max_steps && t.size > 0 && t.data.(0).time <= until do
+      let ev = pop t in
+      t.now <- Float.max t.now ev.time;
+      incr steps;
+      ev.action ()
+    done;
+    !steps
+end
+
+(* What a fired callback does next. *)
+type reaction = Nothing | Then_schedule of int | Then_cancel of int
+
+type op =
+  | Schedule of int * reaction  (* delay, reaction *)
+  | Cancel of int  (* index into the handles made so far, modulo their number *)
+  | Run of int option * int option  (* [until] as an offset from [now], [max_steps] *)
+
+let show_reaction = function
+  | Nothing -> ""
+  | Then_schedule d -> Printf.sprintf " then schedule %d" d
+  | Then_cancel j -> Printf.sprintf " then cancel #%d" j
+
+let show_op = function
+  | Schedule (d, r) -> Printf.sprintf "schedule %d%s" d (show_reaction r)
+  | Cancel j -> Printf.sprintf "cancel #%d" j
+  | Run (u, m) ->
+      let opt = function None -> "-" | Some n -> string_of_int n in
+      Printf.sprintf "run until+%s max_steps %s" (opt u) (opt m)
+
+let gen_program =
+  let open QCheck.Gen in
+  let delay = int_bound 4 in
+  let reaction =
+    frequency
+      [ (3, return Nothing); (1, map (fun d -> Then_schedule d) delay);
+        (1, map (fun j -> Then_cancel j) nat) ]
+  in
+  let op =
+    frequency
+      [
+        (5, map2 (fun d r -> Schedule (d, r)) delay reaction);
+        (3, map (fun j -> Cancel j) nat);
+        (2, map2 (fun u m -> Run (u, m)) (opt (int_bound 5)) (opt (int_bound 6)));
+      ]
+  in
+  list_size (int_bound 40) op
+
+(* Runs [prog] against one engine, described by its operations, and logs
+   every firing and every [run]'s steps, clock and pending count.  A final
+   unbounded [run] drains what is left. *)
+let interpret (type h) ~(schedule : float -> (unit -> unit) -> h) ~(cancel : h -> unit)
+    ~(run : ?until:float -> ?max_steps:int -> unit -> int) ~now ~pending prog =
+  let handles = Hashtbl.create 16 in
+  let made = ref 0 in
+  let log = ref [] in
+  let cancel_nth j = if !made > 0 then cancel (Hashtbl.find handles (j mod !made)) in
+  let rec add d reaction =
+    let id = !made in
+    incr made;
+    let h =
+      schedule (float_of_int d) (fun () ->
+          log := Printf.sprintf "fire %d" id :: !log;
+          match reaction with
+          | Nothing -> ()
+          | Then_schedule d -> add d Nothing
+          | Then_cancel j -> cancel_nth j)
+    in
+    Hashtbl.replace handles id h
+  in
+  let run_op until max_steps =
+    let until = Option.map (fun u -> now () +. float_of_int u) until in
+    let steps = run ?until ?max_steps () in
+    log := Printf.sprintf "run %d now %g pending %d" steps (now ()) (pending ()) :: !log
+  in
+  List.iter
+    (function
+      | Schedule (d, r) -> add d r
+      | Cancel j -> cancel_nth j
+      | Run (u, m) -> run_op u m)
+    prog;
+  run_op None None;
+  List.rev !log
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine with cancel matches the no-op-swap reference" ~count:500
+    (QCheck.make ~print:(fun p -> String.concat "; " (List.map show_op p))
+       ~shrink:QCheck.Shrink.list gen_program)
+    (fun prog ->
+      let eng = Engine.create () in
+      let got =
+        interpret prog
+          ~schedule:(fun after f -> Engine.timer eng ~after f)
+          ~cancel:(Engine.cancel eng)
+          ~run:(fun ?until ?max_steps () -> Engine.run ?until ?max_steps eng)
+          ~now:(fun () -> Engine.now eng)
+          ~pending:(fun () -> Engine.pending eng)
+      in
+      let r = Ref_engine.create () in
+      let expected =
+        interpret prog
+          ~schedule:(fun after f -> Ref_engine.schedule r ~after f)
+          ~cancel:Ref_engine.cancel
+          ~run:(fun ?until ?max_steps () -> Ref_engine.run ?until ?max_steps r)
+          ~now:(fun () -> r.Ref_engine.now)
+          ~pending:(fun () -> Ref_engine.pending r)
+      in
+      if got <> expected then
+        QCheck.Test.fail_reportf "engine:\n  %s\nreference:\n  %s"
+          (String.concat "\n  " got) (String.concat "\n  " expected);
+      true)
 
 let test_engine_sleep () =
   let eng = Engine.create () in
@@ -733,15 +953,13 @@ let () =
           Alcotest.test_case "pick" `Quick test_rng_pick;
           Alcotest.test_case "pick_list" `Quick test_rng_pick_list;
         ] );
-      ( "pqueue",
-        Alcotest.test_case "basic" `Quick test_pqueue_basic
-        :: Alcotest.test_case "interleaved" `Quick test_pqueue_interleaved
-        :: Alcotest.test_case "clear" `Quick test_pqueue_clear
-        :: qcheck [ prop_pqueue_sorts ] );
       ( "engine",
         [
           Alcotest.test_case "clock advances" `Quick test_engine_clock_advances;
           Alcotest.test_case "tie-break fifo" `Quick test_engine_tie_break_fifo;
+          Alcotest.test_case "sorted drain" `Quick test_engine_sorted_drain;
+          Alcotest.test_case "interleaved" `Quick test_engine_interleaved;
+          Alcotest.test_case "cancel keeps the tick" `Quick test_engine_cancel_keeps_tick;
           Alcotest.test_case "sleep" `Quick test_engine_sleep;
           Alcotest.test_case "two fibers interleave" `Quick test_engine_two_fibers_interleave;
           Alcotest.test_case "yield fairness" `Quick test_engine_yield_fairness;
@@ -752,7 +970,8 @@ let () =
           Alcotest.test_case "negative delay rejected" `Quick test_engine_negative_delay_rejected;
           Alcotest.test_case "nested spawn" `Quick test_engine_nested_spawn;
           Alcotest.test_case "determinism" `Quick test_engine_determinism;
-        ] );
+        ]
+        @ qcheck [ prop_engine_drains_sorted; prop_engine_matches_reference ] );
       ( "ivar",
         [
           Alcotest.test_case "fill then read" `Quick test_ivar_fill_then_read;
