@@ -113,8 +113,6 @@ let make protocol ctx =
     ~close:(fun () ->
       inst_detach ctx;
       release_lock st)
-    ?monitor:(Option.map Instrument.monitor ctx.instrument)
-    ()
 
 let open_locking ctx = make Locking ctx
 let open_snapshot ctx = make Snapshot ctx

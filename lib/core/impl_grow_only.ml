@@ -111,5 +111,3 @@ let open_ ?(register = true) ctx =
     ~close:(fun () ->
       inst_detach ctx;
       deregister st)
-    ?monitor:(Option.map Instrument.monitor ctx.instrument)
-    ()

@@ -102,5 +102,3 @@ let open_ ctx =
   let st = { ctx; pinned = None; yielded = Oid.Set.empty; pool = Pool.empty } in
   Iterator.make ~next:(next st)
     ~close:(fun () -> inst_detach ctx)
-    ?monitor:(Option.map Instrument.monitor ctx.instrument)
-    ()

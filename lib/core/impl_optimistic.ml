@@ -113,5 +113,3 @@ let open_ ?(read_nearest_replica = false) ctx =
   in
   Iterator.make ~next:(next st)
     ~close:(fun () -> inst_detach ctx)
-    ?monitor:(Option.map Instrument.monitor ctx.instrument)
-    ()

@@ -72,9 +72,11 @@ let mutation_op = function
   | Directory.Add o -> Spec.Sstate.Madd (elem_of_oid o)
   | Directory.Remove o -> Spec.Sstate.Mremove (elem_of_oid o)
 
-(* Besides driving the monitor directly, every capture is published as a
-   [Spec_observe] event so Spec.Monitor_adapter can rebuild the same
-   computation from a recorded trace. *)
+(* Every capture is published as a [Spec_observe] event before it drives
+   the monitor, so a judged monitor's [Spec_violation] follows the
+   observation that caused it.  Nothing rebuilds a computation from these
+   events; they stay because the run digest fingerprints them, and
+   dropping them changes every pinned digest. *)
 let event_elem e =
   { Weakset_obs.Event.elem_id = Spec.Elem.id e; elem_label = Spec.Elem.label e }
 

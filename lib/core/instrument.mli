@@ -35,7 +35,11 @@ val attach :
     call when the instrumented run is over). *)
 val detach : t -> unit
 
+(** The monitor the capture points drive.  Arm it with
+    {!Weakset_spec.Monitor.judge} before the iterator's first invocation
+    to check the run online. *)
 val monitor : t -> Weakset_spec.Monitor.t
+
 val computation : t -> Weakset_spec.Computation.t
 
 (** Oid → spec element (id = oid number, label = printed oid). *)

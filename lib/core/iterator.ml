@@ -12,13 +12,11 @@ let pp_outcome fmt = function
 type t = {
   impl_next : unit -> outcome;
   impl_close : unit -> unit;
-  monitor : Weakset_spec.Monitor.t option;
   mutable terminal : outcome option;
   mutable closed : bool;
 }
 
-let make ~next ~close ?monitor () =
-  { impl_next = next; impl_close = close; monitor; terminal = None; closed = false }
+let make ~next ~close = { impl_next = next; impl_close = close; terminal = None; closed = false }
 
 let do_close t =
   if not t.closed then begin
@@ -40,8 +38,6 @@ let next t =
 let close t = do_close t
 
 let closed t = t.closed
-
-let monitor t = t.monitor
 
 let drain ?(limit = max_int) t =
   let rec loop acc n =

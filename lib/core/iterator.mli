@@ -18,15 +18,10 @@ val pp_outcome : Format.formatter -> outcome -> unit
 
 type t
 
-(** [make ~next ~close ()] wraps an implementation.  The wrapper enforces
+(** [make ~next ~close] wraps an implementation.  The wrapper enforces
     that a terminal outcome is sticky and that [close] runs exactly once
     (automatically on [Done]/[Failed], or explicitly). *)
-val make :
-  next:(unit -> outcome) ->
-  close:(unit -> unit) ->
-  ?monitor:Weakset_spec.Monitor.t ->
-  unit ->
-  t
+val make : next:(unit -> outcome) -> close:(unit -> unit) -> t
 
 (** One invocation.  Blocks the calling fiber. *)
 val next : t -> outcome
@@ -37,9 +32,6 @@ val next : t -> outcome
 val close : t -> unit
 
 val closed : t -> bool
-
-(** The spec monitor attached at creation, if any. *)
-val monitor : t -> Weakset_spec.Monitor.t option
 
 (** [drain ?limit t] repeatedly calls {!next}, returning the yielded
     elements in order and how the iteration ended.  [`Limit] means [limit]

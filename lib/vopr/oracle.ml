@@ -218,8 +218,9 @@ let judge_iteration it =
               })
           replay_violations
       in
-      (* Cross-check: the always-on online monitor saw the same stream of
-         Spec_observe events, so it must agree at least on pass/fail. *)
+      (* Cross-check: the online judge watched this computation as it
+         grew and ran a final full check at finish, so it must agree at
+         least on pass/fail. *)
       let online_violations = List.filter (fun v -> not (tolerable it v)) it.online_violations in
       let mismatch =
         match (replay_violations, online_violations) with

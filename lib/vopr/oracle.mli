@@ -1,10 +1,11 @@
 (** The VOPR judge: decides whether a finished simulated run behaved.
 
-    Safety is judged by replaying {!Weakset_spec.Figures.check} over each
-    instrumented iteration's recorded computation and cross-checking the
-    verdict against the always-on {!Weakset_spec.Monitor_online} that
-    watched the same event stream (the two must agree — a disagreement
-    means the event pipeline lost or distorted spec observations).
+    Safety is judged by a post-run {!Weakset_spec.Figures.check} over
+    each instrumented iteration's recorded computation, cross-checked
+    against the violations the same monitor latched while judging the
+    computation online ({!Weakset_spec.Monitor.judge}).  The two must
+    agree: a disagreement means the online judge missed or invented a
+    violation.
     Liveness verdicts cover what the spec monitors cannot see: an iterator
     still suspended after every fault healed, fibers parked forever
     (engine deadlock / leaks), fiber crashes, and RPC calls whose replies

@@ -16,7 +16,7 @@ module Semantics = Weakset_core.Semantics
 module Weak_set = Weakset_core.Weak_set
 module Iterator = Weakset_core.Iterator
 module Instrument = Weakset_core.Instrument
-module Monitor_online = Weakset_spec.Monitor_online
+module Monitor = Weakset_spec.Monitor
 module Figures = Weakset_spec.Figures
 module Bus = Weakset_obs.Bus
 module Event = Weakset_obs.Event
@@ -96,10 +96,8 @@ type iter_record = {
   ir_index : int;
   ir_semantics : string;
   ir_spec : Figures.spec;
-  ir_online : Monitor_online.t;
+  ir_monitor : Monitor.t;
   mutable ir_outcome : [ `Done | `Failed of string | `Limit | `Unfinished ];
-  mutable ir_computation : Weakset_spec.Computation.t option;
-  mutable ir_finished : bool;
 }
 
 (* The spec each iteration is judged against: the paper figure of its
@@ -140,19 +138,7 @@ let execute ?(step_cap = default_step_cap) plan =
      crashes during the run; the oracle adds a post-run verdict trigger.
      Ring capacity is modest — dumps ride inside repro bundles. *)
   let flight = Flight.create ~capacity:256 ~debounce:100.0 bus in
-  let rpc_calls = ref 0 and rpc_dones = ref 0 in
-  (* Track which fibers are still alive, by name, so a leak verdict can
-     say who leaked.  A fiber is alive from Fiber_spawn until a Run_end
-     whose park is Park_done/Park_crash. *)
-  let fiber_state : (int, string) Hashtbl.t = Hashtbl.create 32 in
-  Bus.attach bus ~name:"vopr-rpc" (fun ev ->
-      match ev.Event.kind with
-      | Event.Rpc_call _ -> incr rpc_calls
-      | Event.Rpc_done _ -> incr rpc_dones
-      | Event.Fiber_spawn { fid; fiber } -> Hashtbl.replace fiber_state fid fiber
-      | Event.Run_end { fid; park = Event.Park_done | Event.Park_crash; _ } ->
-          Hashtbl.remove fiber_state fid
-      | _ -> ());
+  let accounting = Accounting.attach eng in
   let topo = Topology.create () in
   let nodes =
     match c.Gen.shape with
@@ -337,7 +323,7 @@ let execute ?(step_cap = default_step_cap) plan =
           mutator_ops)
   end;
   (* Iteration driver: every Iterate runs sequentially, instrumented,
-     with an online conformance monitor attached for its duration. *)
+     with the instrument's monitor judging it online. *)
   let iter_ops =
     List.filter (function Gen.Iterate _ -> true | _ -> false) plan.Gen.ops
   in
@@ -358,26 +344,25 @@ let execute ?(step_cap = default_step_cap) plan =
                    to see exercised under faults. *)
                 for rep = 1 to max 1 repeat do
                   if rep > 1 then Engine.sleep eng (Float.max 1.0 think);
-                  let online = Monitor_online.create ~bus ~set_id spec in
-                  Bus.attach bus ~name:"vopr-online" (Monitor_online.sink online);
-                  let r =
-                    {
-                      ir_index = i;
-                      ir_semantics = semantics;
-                      ir_spec = spec;
-                      ir_online = online;
-                      ir_outcome = `Unfinished;
-                      ir_computation = None;
-                      ir_finished = false;
-                    }
-                  in
-                  records := r :: !records;
                   let set =
                     Weak_set.make ~heal_signal:(Fault.signal fault)
                       ~coordinator_server:servers.(0) client sref sem
                   in
                   let iter, inst = Weak_set.elements ~instrument:true set in
-                  r.ir_computation <- Option.map Instrument.computation inst;
+                  (* Iterators open lazily, so nothing has been captured
+                     yet: the judge sees the whole computation. *)
+                  let monitor = Instrument.monitor (Option.get inst) in
+                  Monitor.judge monitor ~bus ~set_id spec;
+                  let r =
+                    {
+                      ir_index = i;
+                      ir_semantics = semantics;
+                      ir_spec = spec;
+                      ir_monitor = monitor;
+                      ir_outcome = `Unfinished;
+                    }
+                  in
+                  records := r :: !records;
                   let rec loop yields =
                     if yields >= limit then `Limit
                     else
@@ -390,11 +375,7 @@ let execute ?(step_cap = default_step_cap) plan =
                   in
                   let outcome = loop 0 in
                   Iterator.close iter;
-                  Bus.detach bus ~name:"vopr-online";
-                  let (_ : Figures.verdict) =
-                    Monitor_online.finish online ~time:(Engine.now eng)
-                  in
-                  r.ir_finished <- true;
+                  let (_ : Figures.verdict) = Monitor.finish monitor ~time:(Engine.now eng) in
                   r.ir_outcome <- outcome
                 done
             | _ -> ())
@@ -405,10 +386,8 @@ let execute ?(step_cap = default_step_cap) plan =
      books so the oracle can judge what was recorded. *)
   List.iter
     (fun r ->
-      if not r.ir_finished then begin
-        let (_ : Figures.verdict) = Monitor_online.finish r.ir_online ~time:(Engine.now eng) in
-        r.ir_finished <- true
-      end)
+      if r.ir_outcome = `Unfinished then
+        ignore (Monitor.finish r.ir_monitor ~time:(Engine.now eng) : Figures.verdict))
     !records;
   let iterations =
     List.rev_map
@@ -419,22 +398,10 @@ let execute ?(step_cap = default_step_cap) plan =
           faulty = plan.Gen.faults <> [];
           spec = r.ir_spec;
           outcome = r.ir_outcome;
-          computation =
-            (match r.ir_computation with
-            | Some comp -> comp
-            | None -> Weakset_spec.Computation.create ());
-          online_violations = Monitor_online.violations r.ir_online;
+          computation = Monitor.computation r.ir_monitor;
+          online_violations = Monitor.violations r.ir_monitor;
         })
       !records
-  in
-  let engine_crashes =
-    List.map
-      (fun c -> (c.Engine.crash_fiber, Printexc.to_string c.Engine.crash_exn))
-      (Engine.crashes eng)
-  in
-  let parked_fibers =
-    if Engine.live_fibers eng = 0 then []
-    else Hashtbl.fold (fun _ name acc -> name :: acc) fiber_state [] |> List.sort compare
   in
   let cache_evidence =
     if not c.Gen.cache then None
@@ -470,11 +437,11 @@ let execute ?(step_cap = default_step_cap) plan =
     Oracle.judge
       {
         Oracle.iterations;
-        engine_crashes;
-        parked_fibers;
+        engine_crashes = Accounting.engine_crashes accounting;
+        parked_fibers = Accounting.parked_fibers accounting;
         steps;
         step_cap;
-        unmatched_rpcs = !rpc_calls - !rpc_dones;
+        unmatched_rpcs = Accounting.unmatched_rpcs accounting;
         cache = cache_evidence;
         (* Random VOPR plans do not deploy a replication group; the
            table-driven cluster scenarios (Scenario) build this. *)

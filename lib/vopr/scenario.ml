@@ -12,7 +12,6 @@ module Oid = Weakset_store.Oid
 module Svalue = Weakset_store.Svalue
 module Group = Weakset_repl.Group
 module Bus = Weakset_obs.Bus
-module Event = Weakset_obs.Event
 module Digest = Weakset_obs.Digest
 
 (* Replicas are named r0..r(n-1) in scenario prose and addressed by
@@ -129,16 +128,7 @@ let execute ?(step_cap = default_step_cap) scn =
   let bus = Engine.bus eng in
   let digest = Digest.create () in
   Bus.attach bus ~name:"scenario-digest" (Digest.sink digest);
-  let rpc_calls = ref 0 and rpc_dones = ref 0 in
-  let fiber_state : (int, string) Hashtbl.t = Hashtbl.create 32 in
-  Bus.attach bus ~name:"scenario-accounting" (fun ev ->
-      match ev.Event.kind with
-      | Event.Rpc_call _ -> incr rpc_calls
-      | Event.Rpc_done _ -> incr rpc_dones
-      | Event.Fiber_spawn { fid; fiber } -> Hashtbl.replace fiber_state fid fiber
-      | Event.Run_end { fid; park = Event.Park_done | Event.Park_crash; _ } ->
-          Hashtbl.remove fiber_state fid
-      | _ -> ());
+  let accounting = Accounting.attach eng in
   let topo = Topology.create () in
   let nodes = Topology.clique topo (n + 1) ~latency:0.5 in
   let client_node = nodes.(n) in
@@ -315,24 +305,15 @@ let execute ?(step_cap = default_step_cap) scn =
   let evidence =
     { Oracle.r_ledger; r_final_logs; r_probes = List.rev !probes; r_dir_vs_log }
   in
-  let engine_crashes =
-    List.map
-      (fun c -> (c.Engine.crash_fiber, Printexc.to_string c.Engine.crash_exn))
-      (Engine.crashes eng)
-  in
-  let parked_fibers =
-    if Engine.live_fibers eng = 0 then []
-    else Hashtbl.fold (fun _ name acc -> name :: acc) fiber_state [] |> List.sort compare
-  in
   let issues =
     Oracle.judge
       {
         Oracle.iterations = [];
-        engine_crashes;
-        parked_fibers;
+        engine_crashes = Accounting.engine_crashes accounting;
+        parked_fibers = Accounting.parked_fibers accounting;
         steps;
         step_cap;
-        unmatched_rpcs = !rpc_calls - !rpc_dones;
+        unmatched_rpcs = Accounting.unmatched_rpcs accounting;
         cache = None;
         repl = Some evidence;
       }

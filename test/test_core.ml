@@ -718,36 +718,6 @@ let test_whole_scenario_determinism () =
   Alcotest.(check (list (pair char (float 1e-12)))) "identical traces" (strip a) (strip b)
 
 (* ------------------------------------------------------------------ *)
-(* Query combinators                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_query_filter_and_grep () =
-  let w = make_world () in
-  let (_ : Oid.t) = add_member w ~home_ix:1 "menu: szechuan dumplings" in
-  let (_ : Oid.t) = add_member w ~home_ix:2 "menu: pierogi" in
-  let (_ : Oid.t) = add_member w ~home_ix:3 "menu: mapo tofu szechuan" in
-  let s = wset ~semantics:Semantics.optimistic w in
-  let matches =
-    in_fiber w (fun () ->
-        let iter, _ = Weak_set.elements s in
-        let filtered = Query.grep iter "szechuan" in
-        let yields, _ = Query.collect filtered in
-        List.length yields)
-  in
-  check_int "two szechuan menus" 2 matches
-
-let test_query_count () =
-  let w = make_world () in
-  let (_ : Oid.t array) = populate w 6 in
-  let s = wset ~semantics:Semantics.optimistic w in
-  let n =
-    in_fiber w (fun () ->
-        let iter, _ = Weak_set.elements s in
-        Query.count iter (fun _ v -> String.length (Svalue.content v) > 0))
-  in
-  check_int "all have content" 6 n
-
-(* ------------------------------------------------------------------ *)
 (* Iterator wrapper behaviour                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -1171,11 +1141,6 @@ let () =
           Alcotest.test_case "mem" `Quick test_mem;
           Alcotest.test_case "provision" `Quick test_provision_creates_collection;
           Alcotest.test_case "whole-scenario determinism" `Quick test_whole_scenario_determinism;
-        ] );
-      ( "query",
-        [
-          Alcotest.test_case "filter and grep" `Quick test_query_filter_and_grep;
-          Alcotest.test_case "count" `Quick test_query_count;
         ] );
       ( "iterator",
         [

@@ -1,8 +1,7 @@
 (* Tests for the weakset_obs observability layer: trace-digest
    determinism across seeded runs, ring-buffer sink semantics, metrics
    registry / Netstat snapshots, RPC failure detection for destinations
-   that crash mid-call, Stats edge cases, rebuilding a spec computation
-   from the recorded event stream, and equivalence of the buffer
+   that crash mid-call, Stats edge cases, and equivalence of the buffer
    writers with the Printf/Format renderings they replaced. *)
 
 open Weakset_sim
@@ -853,40 +852,6 @@ let test_canonical_covers_causal_metadata () =
   check_bool "spans carry parent=" true (has "parent=")
 
 (* ------------------------------------------------------------------ *)
-(* Monitor adapter: conformance checking off the recorded stream      *)
-(* ------------------------------------------------------------------ *)
-
-let test_monitor_adapter_matches_inline_monitor () =
-  let open Bench_lib in
-  let w = Scenarios.clique_world ~seed:7 ~size:6 () in
-  let ring = Obs.Ring.create ~capacity:200_000 in
-  Obs.Bus.attach (Engine.bus w.Scenarios.eng) ~name:"ring" (Obs.Ring.sink ring);
-  Scenarios.set_mutator w ~add_rate:0.2 ~remove_rate:0.1 ~until:1_000.0;
-  let r =
-    Scenarios.run_iteration ~instrument:true ~think:2.0 ~deadline:5_000.0 w
-      Weakset_core.Semantics.optimistic
-  in
-  match r.Scenarios.inst with
-  | None -> Alcotest.fail "expected instrumentation"
-  | Some inst ->
-      check_int "ring kept the whole stream" 0 (Obs.Ring.dropped ring);
-      let adapter =
-        Weakset_spec.Monitor_adapter.replay ~set_id:1 (Obs.Ring.to_list ring)
-      in
-      let direct = Weakset_core.Instrument.computation inst in
-      let replayed = Weakset_spec.Monitor_adapter.computation adapter in
-      check_int "same number of states"
-        (Weakset_spec.Computation.length direct)
-        (Weakset_spec.Computation.length replayed);
-      check_int "same number of invocations"
-        (List.length (Weakset_spec.Computation.invocations direct))
-        (List.length (Weakset_spec.Computation.invocations replayed));
-      let spec = Weakset_spec.Figures.fig4 in
-      check_string "same conformance verdict"
-        (Harness.verdict_cell (Weakset_spec.Figures.check spec direct))
-        (Harness.verdict_cell (Weakset_spec.Figures.check spec replayed))
-
-(* ------------------------------------------------------------------ *)
 (* JSONL sink                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -955,11 +920,6 @@ let () =
           Alcotest.test_case "empty min/max raise" `Quick test_stats_empty_min_max_raise;
           Alcotest.test_case "linear percentiles" `Quick test_stats_percentile_linear;
           Alcotest.test_case "percentile edge cases" `Quick test_stats_percentile_edges;
-        ] );
-      ( "monitor-adapter",
-        [
-          Alcotest.test_case "replay matches inline monitor" `Quick
-            test_monitor_adapter_matches_inline_monitor;
         ] );
       ( "jsonl",
         [ Alcotest.test_case "writer" `Quick test_jsonl_writer ] );

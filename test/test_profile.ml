@@ -8,9 +8,9 @@
      = end - spawn);
    - a seeded network-brownout scenario fires at least one SLO
      burn-rate Alert, published back onto the bus;
-   - the online monitor reproduces every violation Monitor_adapter's
-     post-hoc replay finds on the same recorded trace, and catches
-     constraint violations before the final check;
+   - a judged spec monitor latches every violation a post-run check of
+     its computation finds, publishes each once as a Spec_violation
+     event, and catches constraint violations before the final check;
    - the baseline compare flags regressions and misses, and the file
      format round-trips. *)
 
@@ -194,7 +194,7 @@ let test_slo_empty_window_carries_burn_forward () =
   check_int "idle ticks fire nothing" 0 (Obs.Slo.alert_count idle)
 
 (* ------------------------------------------------------------------ *)
-(* Online monitor vs post-hoc replay                                  *)
+(* Online monitor vs post-run check                                   *)
 (* ------------------------------------------------------------------ *)
 
 let viol_key (v : Weakset_spec.Figures.violation) =
@@ -203,59 +203,71 @@ let viol_key (v : Weakset_spec.Figures.violation) =
     | Some st -> st.Weakset_spec.Sstate.index
     | None -> -1)
 
-let test_online_monitor_matches_replay () =
+let test_online_monitor_latches_post_run_violations () =
   let open Bench_lib in
+  let module Monitor = Weakset_spec.Monitor in
   (* A mutating optimistic run violates the immutable fig1 spec, so the
-     recorded trace carries real violations for both checkers to find. *)
+     computation carries real violations for both checks to find. *)
   let w = Scenarios.clique_world ~seed:7 ~size:6 () in
-  let ring = Obs.Ring.create ~capacity:200_000 in
-  Obs.Bus.attach (Engine.bus w.Scenarios.eng) ~name:"ring" (Obs.Ring.sink ring);
+  let eng = w.Scenarios.eng in
+  let bus = Engine.bus eng in
+  let published = ref [] in
+  Obs.Bus.attach bus ~name:"count" (fun e ->
+      match e.Obs.Event.kind with
+      | Obs.Event.Spec_violation { where; message; _ } ->
+          published := (where, message) :: !published
+      | _ -> ());
   Scenarios.set_mutator w ~add_rate:0.2 ~remove_rate:0.1 ~until:1_000.0;
-  let (_ : Scenarios.run) =
-    Scenarios.run_iteration ~instrument:true ~think:2.0 ~deadline:5_000.0 w
+  let spec = Weakset_spec.Figures.fig1 in
+  let set =
+    Weakset_core.Weak_set.make ~heal_signal:(Fault.signal w.Scenarios.fault)
+      ~coordinator_server:w.Scenarios.servers.(0) w.Scenarios.client w.Scenarios.sref
       Weakset_core.Semantics.optimistic
   in
-  check_int "ring kept the whole stream" 0 (Obs.Ring.dropped ring);
-  let events = Obs.Ring.to_list ring in
-  let spec = Weakset_spec.Figures.fig1 in
-  (* Post-hoc truth: replay the stream, then check the computation. *)
-  let adapter = Weakset_spec.Monitor_adapter.replay ~set_id:1 events in
-  let replay_violations =
-    match Weakset_spec.Figures.check spec (Weakset_spec.Monitor_adapter.computation adapter) with
+  let monitor = ref None in
+  Engine.spawn eng ~name:"judged-query" (fun () ->
+      let iter, inst = Weakset_core.Weak_set.elements ~instrument:true set in
+      let m = Weakset_core.Instrument.monitor (Option.get inst) in
+      Monitor.judge m ~bus ~set_id:1 spec;
+      monitor := Some m;
+      let rec loop () =
+        match Weakset_core.Iterator.next iter with
+        | Weakset_core.Iterator.Yield _ ->
+            Engine.sleep eng 2.0;
+            loop ()
+        | Weakset_core.Iterator.Done | Weakset_core.Iterator.Failed _ -> ()
+      in
+      loop ();
+      Weakset_core.Iterator.close iter);
+  let (_ : int) = Engine.run ~until:5_000.0 eng in
+  let m = Option.get !monitor in
+  check_bool "constraint violations caught before the final check" true
+    (Monitor.violations m <> []);
+  let (_ : Weakset_spec.Figures.verdict) = Monitor.finish m ~time:(Engine.now eng) in
+  let post_run =
+    match Weakset_spec.Figures.check spec (Monitor.computation m) with
     | Weakset_spec.Figures.Conforms -> []
     | Weakset_spec.Figures.Violates vs -> vs
   in
-  check_bool "scenario produces real violations" true (replay_violations <> []);
-  (* Online: same stream through the sampling monitor, violations
-     published as Spec_violation events. *)
-  let bus = Obs.Bus.create () in
-  let published = ref 0 in
-  Obs.Bus.attach bus ~name:"count" (fun e ->
-      match e.Obs.Event.kind with
-      | Obs.Event.Spec_violation _ -> incr published
-      | _ -> ());
-  let online = Weakset_spec.Monitor_online.create ~bus ~sample_every:8 ~set_id:1 spec in
-  List.iter (Weakset_spec.Monitor_online.handle online) events;
-  check_bool "constraint violations caught before the final check" true
-    (Weakset_spec.Monitor_online.violations online <> []);
-  let last_time = match List.rev events with e :: _ -> e.Obs.Event.time | [] -> 0.0 in
-  let (_ : Weakset_spec.Figures.verdict) =
-    Weakset_spec.Monitor_online.finish online ~time:last_time
-  in
-  let online_keys =
-    List.map viol_key (Weakset_spec.Monitor_online.violations online)
-  in
+  check_bool "scenario produces real violations" true (post_run <> []);
+  let latched = Monitor.violations m in
+  let latched_keys = List.map viol_key latched in
   List.iter
     (fun v ->
       check_bool
-        (Printf.sprintf "replay violation also found online: %s" (viol_key v))
+        (Printf.sprintf "post-run violation latched online: %s" (viol_key v))
         true
-        (List.mem (viol_key v) online_keys))
-    replay_violations;
-  check_int "every distinct violation was published" (List.length online_keys) !published;
-  check_bool "full checks were sampled, not run per event" true
-    (Weakset_spec.Monitor_online.full_checks online
-    < Weakset_spec.Monitor_online.observes online)
+        (List.mem (viol_key v) latched_keys))
+    post_run;
+  let where_message (v : Weakset_spec.Figures.violation) =
+    (v.Weakset_spec.Figures.where, v.Weakset_spec.Figures.message)
+  in
+  Alcotest.(check (list (pair string string)))
+    "each latched violation published exactly once"
+    (List.sort compare (List.map where_message latched))
+    (List.sort compare !published);
+  check_bool "full checks were sampled, not run per capture" true
+    (Monitor.full_checks m < Monitor.observes m)
 
 (* ------------------------------------------------------------------ *)
 (* Baseline compare gate                                              *)
@@ -316,8 +328,8 @@ let () =
         ] );
       ( "online-monitor",
         [
-          Alcotest.test_case "reproduces replay violations" `Quick
-            test_online_monitor_matches_replay;
+          Alcotest.test_case "latches every post-run violation" `Quick
+            test_online_monitor_latches_post_run_violations;
         ] );
       ( "baseline",
         [

@@ -526,6 +526,15 @@ let test_monitor_mutations_recorded () =
   Monitor.observe_mutation m ~time:1.0 ~op:(Sstate.Madd (e 2)) ~s:s2 ~accessible:s2;
   check_int "two states" 2 (Computation.length (Monitor.computation m))
 
+let test_monitor_judge_after_capture_rejected () =
+  let bus = Weakset_obs.Bus.create () in
+  let m = Monitor.create () in
+  let s = eset [ 1 ] in
+  Monitor.observe_first m ~time:0.0 ~s ~accessible:s;
+  Alcotest.check_raises "judge after a recorded state"
+    (Invalid_argument "Monitor.judge: a state is already recorded") (fun () ->
+      Monitor.judge m ~bus ~set_id:1 Figures.fig1)
+
 (* ------------------------------------------------------------------ *)
 (* Report                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -873,6 +882,8 @@ let () =
           Alcotest.test_case "blocked" `Quick test_monitor_blocked;
           Alcotest.test_case "misuse rejected" `Quick test_monitor_misuse_rejected;
           Alcotest.test_case "mutations recorded" `Quick test_monitor_mutations_recorded;
+          Alcotest.test_case "judge after capture rejected" `Quick
+            test_monitor_judge_after_capture_rejected;
         ] );
       ( "larch",
         [
