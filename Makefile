@@ -24,34 +24,35 @@ fmt-fix:
 	dune fmt
 
 bench:
-	dune exec bench/main.exe -- --no-micro
+	dune exec bench/main.exe
 
-# Smoke test for the regression gate: the committed baseline must compare
-# clean against itself (schema readable, every metric within tolerance).
+# The regression gate: rerun the seeded baseline suite (deterministic,
+# well under a second), compare it with the committed BENCH_baseline.json
+# (every tracked metric within tolerance), and require the two files to
+# be byte-identical — the suite is seeded, so any difference is a change
+# in simulated behaviour.
 bench-compare:
-	dune exec bench/main.exe -- --compare BENCH_baseline.json BENCH_baseline.json
+	dune exec bench/main.exe -- --baseline /tmp/bench-baseline.json > /dev/null
+	dune exec bench/main.exe -- --compare BENCH_baseline.json /tmp/bench-baseline.json
+	@cmp BENCH_baseline.json /tmp/bench-baseline.json \
+	  || { echo "bench-compare: baseline suite no longer reproduces BENCH_baseline.json"; exit 1; }
 
 # E12 head-to-head: all five design points (incl. the lin snapshot
 # iterator) on quiet + churn workloads, every row judged by the
-# parametric checker.  The gate demands conforming verdicts present
-# and no VIOLATES cell anywhere in the table.
+# parametric checker.  --e12 exits 1 unless every cell carries a
+# verdict and every verdict conforms.
 e12-smoke:
-	dune exec bench/main.exe -- --e12 | tee /tmp/e12-smoke.out
-	@grep -q "conforms" /tmp/e12-smoke.out \
-	  || { echo "e12-smoke: no verdicts in E12 output"; exit 1; }
-	@! grep -q "VIOLATES" /tmp/e12-smoke.out \
-	  || { echo "e12-smoke: E12 reported a spec violation"; exit 1; }
+	dune exec bench/main.exe -- --e12
 
 # Short open-loop saturation sweep: every design point must detect a
-# finite knee, and the curves JSON must be byte-identical across reruns
+# finite knee (--e13 exits 1 otherwise, and curves.json must hold no
+# null knee), and the curves JSON must be byte-identical across reruns
 # (the determinism contract behind --curves-json).  The full-size sweep
 # runs via `bench/main.exe -- --e13`; this scaled-down config keeps the
 # smoke under a few seconds.
 e13-smoke:
 	dune exec bench/main.exe -- --e13 --load-clients 16 --load-duration 100 \
-	  --curves-json curves.json | tee /tmp/e13-smoke.out
-	@grep -q "KNEE" /tmp/e13-smoke.out \
-	  || { echo "e13-smoke: no knee detected in E13 output"; exit 1; }
+	  --curves-json curves.json
 	@! grep -q '"knee":null' curves.json \
 	  || { echo "e13-smoke: a design point has no knee in curves.json"; exit 1; }
 	dune exec bench/main.exe -- --e13 --load-clients 16 --load-duration 100 \
@@ -61,15 +62,13 @@ e13-smoke:
 
 # E13b admission on/off ladder at smoke size: the run itself asserts the
 # overload-survival contract (admission-on knee no earlier than off, zero
-# sheds below the knee, p999 strictly lower at saturation) and prints
-# ADMISSION PASS; the rerun must produce byte-identical curves, and the
-# trace must render a non-empty overload anatomy (sheds by class).
+# sheds below the knee, p999 strictly lower at saturation) and exits
+# nonzero when it breaks; the rerun must produce byte-identical curves,
+# and the trace must render a non-empty overload anatomy (sheds by
+# class).
 admission-smoke:
 	dune exec bench/main.exe -- --e13 --admission --load-clients 16 --load-duration 100 \
-	  --curves-json admission-curves.json --trace-jsonl /tmp/admission-smoke.jsonl \
-	  | tee /tmp/admission-smoke.out
-	@grep -q "ADMISSION PASS" /tmp/admission-smoke.out \
-	  || { echo "admission-smoke: E13b assertions did not pass"; exit 1; }
+	  --curves-json admission-curves.json --trace-jsonl /tmp/admission-smoke.jsonl
 	dune exec bench/main.exe -- --e13 --admission --load-clients 16 --load-duration 100 \
 	  --curves-json /tmp/admission-smoke-2.json > /dev/null
 	@cmp -s admission-curves.json /tmp/admission-smoke-2.json \

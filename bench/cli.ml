@@ -9,13 +9,12 @@
    their experiment. *)
 
 let usage =
-  "usage: weakset_bench [--no-micro] [--metrics-json FILE] [--trace-jsonl FILE]\n\
+  "usage: weakset_bench [--metrics-json FILE] [--trace-jsonl FILE]\n\
   \                     [--profile-json FILE] [--slo-report] [--blackbox-dir DIR]\n\
   \                     [--baseline FILE] [--compare OLD NEW] [--tolerance T]\n\
   \                     [--cache] [--lease-ttl T] [--warm-iters N]\n\
   \                     [--e12] [--e13] [--admission] [--curves-json FILE]\n\
   \                     [--load-clients N] [--load-duration T]\n\n\
-  \  --no-micro           skip the bechamel microbenchmarks (M1)\n\
   \  --metrics-json FILE  dump every world's metrics registry as JSON\n\
   \  --trace-jsonl FILE   write the full typed event stream as JSONL\n\
   \                       (analyse with weakset_trace)\n\
@@ -48,7 +47,6 @@ let usage =
   \                       (positive)\n"
 
 type opts = {
-  mutable no_micro : bool;
   mutable metrics_json : string option;
   mutable trace_jsonl : string option;
   mutable profile_json : string option;
@@ -70,7 +68,6 @@ type opts = {
 
 let defaults () =
   {
-    no_micro = false;
     metrics_json = None;
     trace_jsonl = None;
     profile_json = None;
@@ -112,9 +109,6 @@ let parse args =
         else if o.admission && not o.e13 then
           error "--admission only applies to the --e13 sweep"
         else `Ok o
-    | "--no-micro" :: rest ->
-        o.no_micro <- true;
-        go rest
     | "--slo-report" :: rest ->
         o.slo_report <- true;
         go rest

@@ -7,7 +7,10 @@ open Weakset_net
 open Weakset_store
 open Weakset_core
 
-type world = {
+(* The standard world (see {!Sim_world}): node 0 coordinates, the last
+   node is the client, the rest home objects.  Re-exported with its
+   fields so experiments read [w.eng], [w.rpc] and so on directly. *)
+type world = Sim_world.t = {
   eng : Engine.t;
   topo : Topology.t;
   rpc : Node_server.rpc;
@@ -16,54 +19,24 @@ type world = {
   fault : Fault.t;
   client : Client.t;
   sref : Protocol.set_ref;
-  rng : Rng.t; (* workload stream, split from the engine's root *)
+  rng : Rng.t;
   mutable next_num : int;
 }
 
-let set_id = 1
+let set_id = Sim_world.set_id
 
-(* [clique_world] — n nodes fully connected with unit latency: node 0
-   coordinates, the last node is the client, the rest home objects.
-   [cache] equips the client with a lease cache; [lease_ttl] is what the
-   servers grant with leased membership answers. *)
-let clique_world ?tag ?(seed = 1) ?(n = 8) ?(ghost_policy = false) ?(replica_ixs = [])
-    ?(replica_interval = 10.0) ?cache ?(lease_ttl = 30.0) ?dir_service ?admission ~size () =
+(* [clique_world] — n nodes fully connected with unit latency.  [cache]
+   equips the client with a lease cache; [lease_ttl] is what the servers
+   grant with leased membership answers. *)
+let clique_world ?tag ?(seed = 1) ?(n = 8) ?(ghost_policy = false) ?replica_ixs
+    ?replica_interval ?cache ?(lease_ttl = 30.0) ?dir_service ?admission ~size () =
   let eng = Engine.create ~seed:(Int64.of_int seed) () in
-  let topo = Topology.create () in
-  let nodes = Topology.clique topo n ~latency:1.0 in
-  let rpc = Rpc.create eng topo in
-  let servers =
-    Array.map
-      (fun node -> Node_server.create ~lease_ttl ?dir_service ?admission rpc node)
-      nodes
-  in
-  let fault = Fault.create eng topo in
   let policy =
     if ghost_policy then Node_server.Defer_removes_while_iterating else Node_server.Immediate
   in
-  Node_server.host_directory servers.(0) ~set_id ~policy;
-  List.iter
-    (fun ix ->
-      Node_server.host_replica servers.(ix) ~set_id ~of_:nodes.(0) ~interval:replica_interval
-        ~until:1.0e9)
-    replica_ixs;
-  let client = Client.create ?cache rpc nodes.(n - 1) in
-  let sref =
-    { Protocol.set_id; coordinator = nodes.(0); replicas = List.map (fun i -> nodes.(i)) replica_ixs }
-  in
   let w =
-    {
-      eng;
-      topo;
-      rpc;
-      nodes;
-      servers;
-      fault;
-      client;
-      sref;
-      rng = Rng.split (Engine.rng eng);
-      next_num = 0;
-    }
+    Sim_world.create ~lease_ttl ?dir_service ?admission ~policy ?replica_ixs ?replica_interval
+      ?cache ~size eng ~nodes:n ~latency:1.0 ()
   in
   let name =
     (* [tag] distinguishes worlds a sweep builds in a loop (one per rate
@@ -77,25 +50,10 @@ let clique_world ?tag ?(seed = 1) ?(n = 8) ?(ghost_policy = false) ?(replica_ixs
   Harness.attach_profile name (Engine.bus eng);
   Harness.attach_slo name (Engine.bus eng);
   Harness.attach_flight name (Engine.bus eng);
-  let home_count = n - 2 in
-  for _ = 1 to size do
-    w.next_num <- w.next_num + 1;
-    let home_ix = 1 + (w.next_num mod home_count) in
-    let oid = Oid.make ~num:w.next_num ~home:nodes.(home_ix) in
-    Node_server.put_object servers.(home_ix) oid
-      (Svalue.make (Printf.sprintf "element-%d" w.next_num));
-    ignore (Directory.apply (Node_server.directory_truth servers.(0) ~set_id) (Directory.Add oid))
-  done;
   w
 
 (* Make a fresh member object (used by mutator processes). *)
-let fresh_member w =
-  w.next_num <- w.next_num + 1;
-  let home_ix = 1 + (w.next_num mod (Array.length w.nodes - 2)) in
-  let oid = Oid.make ~num:w.next_num ~home:w.nodes.(home_ix) in
-  Node_server.put_object w.servers.(home_ix) oid
-    (Svalue.make (Printf.sprintf "element-%d" w.next_num));
-  oid
+let fresh_member = Sim_world.fresh_member
 
 (* Poisson add/remove traffic against the set from a dedicated mutator
    client on node 1.  [via] (default [Semantics.optimistic]) selects the
@@ -115,8 +73,7 @@ let set_mutator ?(via = Semantics.optimistic) ?(start = 0.0) w ~add_rate ~remove
             (if Rng.float rng total < add_rate then
                ignore (Weak_set.add handle (fresh_member w))
              else
-               let truth = Node_server.directory_truth w.servers.(0) ~set_id in
-               match Oid.Set.choose_opt (Directory.members truth) with
+               match Oid.Set.choose_opt (Directory.members (Sim_world.truth w)) with
                | Some victim -> ignore (Weak_set.remove handle victim)
                | None -> ());
             loop ()

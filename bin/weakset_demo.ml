@@ -17,37 +17,14 @@ open Cmdliner
 (* Shared world building                                              *)
 (* ------------------------------------------------------------------ *)
 
-type world = {
-  eng : Engine.t;
-  topo : Topology.t;
-  nodes : Nodeid.t array;
-  servers : Node_server.t array;
-  fault : Fault.t;
-  client : Client.t;
-  sref : Protocol.set_ref;
-}
-
+(* The standard six-node world (see {!Sim_world}): node 0 coordinates,
+   nodes 1-4 home the members, node 5 runs the client. *)
 let build_world ~seed ~size ~ghost_policy =
-  let eng = Engine.create ~seed:(Int64.of_int seed) () in
-  let topo = Topology.create () in
-  let nodes = Topology.clique topo 6 ~latency:1.0 in
-  let rpc = Rpc.create eng topo in
-  let servers = Array.map (fun n -> Node_server.create rpc n) nodes in
-  let fault = Fault.create eng topo in
   let policy =
     if ghost_policy then Node_server.Defer_removes_while_iterating else Node_server.Immediate
   in
-  Node_server.host_directory servers.(0) ~set_id:1 ~policy;
-  let client = Client.create rpc nodes.(5) in
-  let sref = { Protocol.set_id = 1; coordinator = nodes.(0); replicas = [] } in
-  let dir = Node_server.directory_truth servers.(0) ~set_id:1 in
-  for i = 1 to size do
-    let home = 1 + (i mod 4) in
-    let oid = Oid.make ~num:i ~home:nodes.(home) in
-    Node_server.put_object servers.(home) oid (Svalue.make (Printf.sprintf "element-%d" i));
-    ignore (Directory.apply dir (Directory.Add oid))
-  done;
-  { eng; topo; nodes; servers; fault; client; sref }
+  Sim_world.create ~policy ~size (Engine.create ~seed:(Int64.of_int seed) ()) ~nodes:6
+    ~latency:1.0 ()
 
 let semantics_of_name name =
   match List.assoc_opt name Semantics.all with
@@ -86,43 +63,44 @@ let run_iterate sem_name size partition_at heal_at mutate_every verbose =
       1
   | Ok semantics ->
       let w = build_world ~seed:42 ~size ~ghost_policy:(semantics = Semantics.grow_only) in
+      let { Sim_world.eng; nodes; servers; fault; client; sref; _ } = w in
       (match partition_at with
       | Some at ->
           let groups =
-            [ [ w.nodes.(0); w.nodes.(5) ]; [ w.nodes.(1); w.nodes.(2); w.nodes.(3); w.nodes.(4) ] ]
+            [ [ nodes.(0); nodes.(5) ]; [ nodes.(1); nodes.(2); nodes.(3); nodes.(4) ] ]
           in
           (match heal_at with
-          | Some h -> Fault.schedule_partition w.fault ~at ~heal_at:h groups
+          | Some h -> Fault.schedule_partition fault ~at ~heal_at:h groups
           | None ->
-              Engine.schedule w.eng
+              Engine.schedule eng
                 ~after:(Float.max 0.0 at)
-                (fun () -> Fault.partition w.fault groups))
+                (fun () -> Fault.partition fault groups))
       | None -> ());
       (match mutate_every with
       | Some period when period > 0.0 ->
-          let rng = Rng.split (Engine.rng w.eng) in
+          let rng = w.Sim_world.rng in
           let counter = ref 1000 in
-          Engine.spawn w.eng ~name:"mutator" (fun () ->
+          Engine.spawn eng ~name:"mutator" (fun () ->
               let rec loop () =
-                Engine.sleep w.eng period;
-                if Engine.now w.eng < 2_000.0 then begin
+                Engine.sleep eng period;
+                if Engine.now eng < 2_000.0 then begin
                   incr counter;
                   let home_ix = 1 + Rng.int rng 4 in
-                  let oid = Oid.make ~num:!counter ~home:w.nodes.(home_ix) in
-                  Node_server.put_object w.servers.(home_ix) oid (Svalue.make "hot");
-                  ignore (Client.dir_add w.client w.sref oid);
+                  let oid = Oid.make ~num:!counter ~home:nodes.(home_ix) in
+                  Node_server.put_object servers.(home_ix) oid (Svalue.make "hot");
+                  ignore (Client.dir_add client sref oid);
                   loop ()
                 end
               in
               loop ())
       | Some _ | None -> ());
       let set =
-        Weak_set.make ~heal_signal:(Fault.signal w.fault) ~coordinator_server:w.servers.(0)
-          w.client w.sref semantics
+        Weak_set.make ~heal_signal:(Fault.signal fault) ~coordinator_server:servers.(0)
+          client sref semantics
       in
-      Engine.spawn w.eng ~name:"query" (fun () ->
+      Engine.spawn eng ~name:"query" (fun () ->
           let iter, inst = Weak_set.elements ~instrument:true set in
-          let t0 = Engine.now w.eng in
+          let t0 = Engine.now eng in
           let yields, ending = Iterator.drain ~limit:(size * 4) iter in
           Printf.printf "%s over %d elements: %d yield(s), %s, %.2f time units\n" sem_name size
             (List.length yields)
@@ -130,7 +108,7 @@ let run_iterate sem_name size partition_at heal_at mutate_every verbose =
             | `Done -> "returned"
             | `Failed e -> "failed (" ^ Client.error_to_string e ^ ")"
             | `Limit -> "stopped at yield limit")
-            (Engine.now w.eng -. t0);
+            (Engine.now eng -. t0);
           match inst with
           | Some inst ->
               let spec = Semantics.spec_of semantics in
@@ -140,8 +118,8 @@ let run_iterate sem_name size partition_at heal_at mutate_every verbose =
               if verbose then
                 Format.printf "%a" Weakset_spec.Report.pp_timeline (Instrument.computation inst)
           | None -> ());
-      let (_ : int) = Engine.run ~until:100_000.0 w.eng in
-      (match Engine.crashes w.eng with
+      let (_ : int) = Engine.run ~until:100_000.0 eng in
+      (match Engine.crashes eng with
       | [] -> 0
       | c :: _ ->
           Printf.eprintf "fiber crashed: %s\n" (Printexc.to_string c.Engine.crash_exn);
@@ -158,15 +136,16 @@ let run_matrix sem_name size mutate =
       1
   | Ok semantics ->
       let w = build_world ~seed:43 ~size ~ghost_policy:(semantics = Semantics.grow_only) in
-      let set = Weak_set.make ~coordinator_server:w.servers.(0) w.client w.sref semantics in
-      Engine.spawn w.eng ~name:"query" (fun () ->
+      let { Sim_world.eng; nodes; servers; client; sref; _ } = w in
+      let set = Weak_set.make ~coordinator_server:servers.(0) client sref semantics in
+      Engine.spawn eng ~name:"query" (fun () ->
           let iter, inst = Weak_set.elements ~instrument:true set in
           let (_ : Iterator.outcome) = Iterator.next iter in
           if mutate then begin
             let home_ix = 1 in
-            let oid = Oid.make ~num:999_999 ~home:w.nodes.(home_ix) in
-            Node_server.put_object w.servers.(home_ix) oid (Svalue.make "hot");
-            ignore (Client.dir_add w.client w.sref oid)
+            let oid = Oid.make ~num:999_999 ~home:nodes.(home_ix) in
+            Node_server.put_object servers.(home_ix) oid (Svalue.make "hot");
+            ignore (Client.dir_add client sref oid)
           end;
           let (_ : (Oid.t * Svalue.t) list * _) = Iterator.drain iter in
           match inst with
@@ -175,7 +154,7 @@ let run_matrix sem_name size mutate =
               Format.printf "%a" Weakset_spec.Report.pp_matrix
                 (Weakset_spec.Report.conformance_matrix (Instrument.computation inst))
           | None -> ());
-      let (_ : int) = Engine.run ~until:100_000.0 w.eng in
+      let (_ : int) = Engine.run ~until:100_000.0 eng in
       0
 
 (* ------------------------------------------------------------------ *)

@@ -84,14 +84,18 @@ let event_elems es = List.map event_elem (Spec.Elem.Set.elements es)
 
 let emit_observe t phase s accessible =
   let eng = Client.engine t.client in
-  Weakset_obs.Bus.emit (Engine.bus eng) ~time:(Engine.now eng)
-    (Weakset_obs.Event.Spec_observe
-       {
-         set_id = t.set_id;
-         phase;
-         s = event_elems s;
-         accessible = event_elems accessible;
-       })
+  let bus = Engine.bus eng in
+  (* Build the element lists only for a listening bus: an inactive bus
+     drops the event without advancing its sequence number. *)
+  if Weakset_obs.Bus.active bus then
+    Weakset_obs.Bus.emit bus ~time:(Engine.now eng)
+      (Weakset_obs.Event.Spec_observe
+         {
+           set_id = t.set_id;
+           phase;
+           s = event_elems s;
+           accessible = event_elems accessible;
+         })
 
 let attach ~client ~server ~set_id =
   (* Fail fast if the server does not coordinate this set. *)

@@ -1,7 +1,7 @@
 module Rng = Weakset_sim.Rng
 module Json = Weakset_obs.Json
 
-type shape = Clique | Star | Line
+type shape = Weakset_store.Sim_world.shape = Clique | Star | Line
 
 type open_loop = { ol_rate : float; ol_clients : int; ol_bursty : bool }
 

@@ -14,11 +14,12 @@
     byte-exactly (floats render with 17 significant digits), which is what
     repro bundles and the shrinker rely on.
 
-    Node-index convention (shared with [Runner]): index [0] is the
-    directory coordinator ([Star]: the hub), index [nodes - 1] is the
-    client, indexes [1 .. nodes - 2] home the member objects. *)
+    Node-index convention (the one {!Weakset_store.Sim_world} builds):
+    index [0] is the directory coordinator ([Star]: the hub), index
+    [nodes - 1] is the client, indexes [1 .. nodes - 2] home the member
+    objects. *)
 
-type shape = Clique | Star | Line
+type shape = Weakset_store.Sim_world.shape = Clique | Star | Line
 
 type open_loop = {
   ol_rate : float;  (** mean background arrivals per time unit *)

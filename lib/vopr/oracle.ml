@@ -534,3 +534,67 @@ let issue_of_json j =
       in
       Ok (Shed_divergence { node; extra = str_list "extra"; missing = str_list "missing" })
   | k -> Error (Printf.sprintf "unknown issue kind %S" k)
+
+(* ------------------------------------------------------------------ *)
+(* Judged runs                                                        *)
+(* ------------------------------------------------------------------ *)
+
+module Engine = Weakset_sim.Engine
+module Event = Weakset_obs.Event
+module Digest = Weakset_obs.Digest
+
+type watch = {
+  w_eng : Engine.t;
+  w_digest : Digest.t;
+  mutable unmatched : int;  (* Rpc_call events minus Rpc_done events *)
+  (* Live fibers by id, so a leak verdict can say who leaked.  A fiber is
+     alive from Fiber_spawn until a Run_end whose park is
+     Park_done/Park_crash. *)
+  fibers : (int, string) Hashtbl.t;
+}
+
+let watch eng =
+  let w = { w_eng = eng; w_digest = Digest.create (); unmatched = 0; fibers = Hashtbl.create 32 } in
+  let bus = Engine.bus eng in
+  Weakset_obs.Bus.attach bus ~name:"run-digest" (Digest.sink w.w_digest);
+  Weakset_obs.Bus.attach bus ~name:"run-accounting" (fun ev ->
+      match ev.Event.kind with
+      | Event.Rpc_call _ -> w.unmatched <- w.unmatched + 1
+      | Event.Rpc_done _ -> w.unmatched <- w.unmatched - 1
+      | Event.Fiber_spawn { fid; fiber } -> Hashtbl.replace w.fibers fid fiber
+      | Event.Run_end { fid; park = Event.Park_done | Event.Park_crash; _ } ->
+          Hashtbl.remove w.fibers fid
+      | _ -> ());
+  w
+
+type evidence = {
+  ev_iterations : iteration_input list;
+  ev_cache : cache_evidence option;
+  ev_repl : repl_evidence option;
+}
+
+type run = { digest : string; events : int; steps : int; issues : issue list; evidence : evidence }
+
+let run w ~step_cap evidence =
+  let steps = Engine.run ~max_steps:step_cap w.w_eng in
+  let ev = evidence () in
+  let issues =
+    judge
+      {
+        iterations = ev.ev_iterations;
+        engine_crashes =
+          List.map
+            (fun c -> (c.Engine.crash_fiber, Printexc.to_string c.Engine.crash_exn))
+            (Engine.crashes w.w_eng);
+        parked_fibers =
+          (if Engine.live_fibers w.w_eng = 0 then []
+           else Hashtbl.fold (fun _ name acc -> name :: acc) w.fibers [] |> List.sort compare);
+        steps;
+        step_cap;
+        unmatched_rpcs = w.unmatched;
+        cache = ev.ev_cache;
+        repl = ev.ev_repl;
+      }
+  in
+  let digest = Digest.value w.w_digest in
+  { digest; events = Digest.count w.w_digest; steps; issues; evidence = ev }

@@ -143,3 +143,37 @@ val issue_of_json : Weakset_obs.Json.t -> (issue, string) result
 (** Do two issue lists fail in an overlapping way?  True when some
     category appears in both — the shrinker's preservation criterion. *)
 val same_failure : issue list -> issue list -> bool
+
+(** {1 Judged runs}
+
+    The tail every executor shares: {!watch} attaches a chained
+    {!Weakset_obs.Digest} and a run-accounting sink (RPC calls against
+    completions, live fibers) to an engine's bus, and {!run} drives the
+    engine, judges what it left behind and reads the digest.  Neither
+    sink emits, so watching leaves the run unchanged. *)
+
+type watch
+
+(** [watch eng] attaches both sinks; call it before building the world so
+    the digest sees every event. *)
+val watch : Weakset_sim.Engine.t -> watch
+
+(** What the executor recorded, read once the engine has stopped. *)
+type evidence = {
+  ev_iterations : iteration_input list;
+  ev_cache : cache_evidence option;
+  ev_repl : repl_evidence option;
+}
+
+type run = {
+  digest : string;  (** chained digest of the full event stream *)
+  events : int;  (** events fed to the digest *)
+  steps : int;  (** engine events processed *)
+  issues : issue list;  (** empty = run passed *)
+  evidence : evidence;  (** what was judged *)
+}
+
+(** [run w ~step_cap evidence] runs the engine for at most [step_cap]
+    steps, then judges [evidence ()] together with the engine's crashes,
+    the fibers still parked and the unanswered RPC calls. *)
+val run : watch -> step_cap:int -> (unit -> evidence) -> run

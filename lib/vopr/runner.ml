@@ -1,17 +1,14 @@
 module Engine = Weakset_sim.Engine
 module Rng = Weakset_sim.Rng
 module Arrival = Weakset_load.Arrival
-module Topology = Weakset_net.Topology
 module Fault = Weakset_net.Fault
-module Rpc = Weakset_net.Rpc
 module Node_server = Weakset_store.Node_server
 module Directory = Weakset_store.Directory
 module Version = Weakset_store.Version
 module Client = Weakset_store.Client
 module Cache = Weakset_store.Cache
 module Oid = Weakset_store.Oid
-module Svalue = Weakset_store.Svalue
-module Protocol = Weakset_store.Protocol
+module World = Weakset_store.Sim_world
 module Semantics = Weakset_core.Semantics
 module Weak_set = Weakset_core.Weak_set
 module Iterator = Weakset_core.Iterator
@@ -20,7 +17,6 @@ module Monitor = Weakset_spec.Monitor
 module Figures = Weakset_spec.Figures
 module Bus = Weakset_obs.Bus
 module Event = Weakset_obs.Event
-module Digest = Weakset_obs.Digest
 module Json = Weakset_obs.Json
 module Flight = Weakset_obs.Flight
 
@@ -35,7 +31,7 @@ type result = {
 }
 
 let default_step_cap = 1_000_000
-let set_id = 1
+let set_id = World.set_id
 
 (* ------------------------------------------------------------------ *)
 (* Plan validation (fail fast with a message instead of mid-sim)       *)
@@ -132,77 +128,37 @@ let execute ?(step_cap = default_step_cap) plan =
   let n = c.Gen.nodes in
   let eng = Engine.create ~seed:plan.Gen.seed () in
   let bus = Engine.bus eng in
-  let digest = Digest.create () in
-  Bus.attach bus ~name:"vopr-digest" (Digest.sink digest);
+  let watch = Oracle.watch eng in
   (* Always-on black box: triggers itself on spec violations and node
      crashes during the run; the oracle adds a post-run verdict trigger.
      Ring capacity is modest — dumps ride inside repro bundles. *)
   let flight = Flight.create ~capacity:256 ~debounce:100.0 bus in
-  let accounting = Accounting.attach eng in
-  let topo = Topology.create () in
-  let nodes =
-    match c.Gen.shape with
-    | Gen.Clique -> Topology.clique topo n ~latency:c.Gen.latency
-    | Gen.Star ->
-        let hub, leaves = Topology.star topo (n - 1) ~latency:c.Gen.latency in
-        Array.append [| hub |] leaves
-    | Gen.Line -> Topology.line topo n ~latency:c.Gen.latency
-  in
-  let rpc = Rpc.create eng topo in
-  let servers =
-    Array.map (fun node -> Node_server.create ~lease_ttl:c.Gen.lease_ttl rpc node) nodes
-  in
-  let fault = Fault.create eng topo in
   (* Ghost-copy policy unconditionally: it only defers removals while
      grow-only iterators are registered, and without it a grow-only run
      concurrent with removals violates its own type constraint — an
-     environment bug, not an implementation bug. *)
-  Node_server.host_directory servers.(0) ~set_id
-    ~policy:Node_server.Defer_removes_while_iterating;
-  List.iter
-    (fun ix ->
-      Node_server.host_replica servers.(ix) ~set_id ~of_:nodes.(0)
-        ~interval:c.Gen.replica_interval ~until:plan.Gen.budget)
-    c.Gen.replica_ixs;
-  (* The iterating client is the (only) lease-cache holder when the plan
-     enables caching.  The mutator gets its own uncached client: sharing
-     would let read-your-writes self-invalidation mask a broken wire
-     callback — exactly the bug class the cache oracle exists to catch. *)
-  let client =
-    if c.Gen.cache then
-      Client.create ~cache:{ Cache.capacity = 256; ttl = c.Gen.lease_ttl } rpc nodes.(n - 1)
-    else Client.create rpc nodes.(n - 1)
+     environment bug, not an implementation bug.  The iterating client is
+     the (only) lease-cache holder when the plan enables caching. *)
+  let w =
+    World.create ~shape:c.Gen.shape ~lease_ttl:c.Gen.lease_ttl
+      ~policy:Node_server.Defer_removes_while_iterating ~replica_ixs:c.Gen.replica_ixs
+      ~replica_interval:c.Gen.replica_interval ~replica_until:plan.Gen.budget
+      ?cache:
+        (if c.Gen.cache then Some { Cache.capacity = 256; ttl = c.Gen.lease_ttl } else None)
+      ~size:c.Gen.initial_size eng ~nodes:n ~latency:c.Gen.latency ()
   in
-  let mut_client = Client.create rpc nodes.(n - 1) in
-  let sref =
-    {
-      Protocol.set_id;
-      coordinator = nodes.(0);
-      replicas = List.map (fun ix -> nodes.(ix)) c.Gen.replica_ixs;
-    }
-  in
-  (* Seed membership. *)
-  let next_num = ref 0 in
-  let homes = n - 2 in
-  let fresh_member () =
-    incr next_num;
-    let home_ix = 1 + (!next_num mod homes) in
-    let oid = Oid.make ~num:!next_num ~home:nodes.(home_ix) in
-    Node_server.put_object servers.(home_ix) oid
-      (Svalue.make (Printf.sprintf "element-%d" !next_num));
-    oid
-  in
-  for _ = 1 to c.Gen.initial_size do
-    let oid = fresh_member () in
-    ignore (Directory.apply (Node_server.directory_truth servers.(0) ~set_id) (Directory.Add oid))
-  done;
+  let nodes = w.World.nodes and servers = w.World.servers and sref = w.World.sref in
+  let client = w.World.client and fault = w.World.fault in
+  (* The mutator gets its own uncached client: sharing would let
+     read-your-writes self-invalidation mask a broken wire callback —
+     exactly the bug class the cache oracle exists to catch. *)
+  let mut_client = Client.create w.World.rpc nodes.(n - 1) in
   (* Cache-coherence evidence: the coordinator's mutation log (time and
      resulting version) and every directory cache hit the bus carries.
      Both feed the oracle's stale-beyond-lease rule. *)
   let mutation_log = ref [] in
   let cache_hits = ref [] in
   if c.Gen.cache then begin
-    let truth = Node_server.directory_truth servers.(0) ~set_id in
+    let truth = World.truth w in
     let (_ : unit -> unit) =
       Node_server.on_directory_mutation servers.(0) ~set_id (fun _op ->
           mutation_log :=
@@ -222,7 +178,7 @@ let execute ?(step_cap = default_step_cap) plan =
      oracle is watching.  Lazy so plans without either knob build the
      exact same world as before. *)
   let bg_handle =
-    lazy (Weak_set.make (Client.create rpc nodes.(n - 1)) sref Semantics.optimistic)
+    lazy (Weak_set.make (Client.create w.World.rpc nodes.(n - 1)) sref Semantics.optimistic)
   in
   (* Fault schedule, through the Fault scheduled API (the code path
      hand-written scenarios use). *)
@@ -311,11 +267,9 @@ let execute ?(step_cap = default_step_cap) plan =
             if at > now then Engine.sleep eng (at -. now);
             match op with
             | Gen.Add _ ->
-                let oid = fresh_member () in
-                ignore (Weak_set.add handle oid)
+                ignore (Weak_set.add handle (World.fresh_member w))
             | Gen.Remove _ -> (
-                let truth = Node_server.directory_truth servers.(0) ~set_id in
-                match Oid.Set.min_elt_opt (Directory.members truth) with
+                match Oid.Set.min_elt_opt (Directory.members (World.truth w)) with
                 | Some victim -> ignore (Weak_set.remove handle victim)
                 | None -> ())
             | Gen.Size _ -> ignore (Weak_set.size handle)
@@ -381,77 +335,67 @@ let execute ?(step_cap = default_step_cap) plan =
             | _ -> ())
           iter_ops)
   ;
-  let steps = Engine.run ~max_steps:step_cap eng in
-  (* Iterations still open (stuck or cut off by the step cap): close the
-     books so the oracle can judge what was recorded. *)
-  List.iter
-    (fun r ->
-      if r.ir_outcome = `Unfinished then
-        ignore (Monitor.finish r.ir_monitor ~time:(Engine.now eng) : Figures.verdict))
-    !records;
-  let iterations =
-    List.rev_map
-      (fun r ->
-        {
-          Oracle.index = r.ir_index;
-          semantics = r.ir_semantics;
-          faulty = plan.Gen.faults <> [];
-          spec = r.ir_spec;
-          outcome = r.ir_outcome;
-          computation = Monitor.computation r.ir_monitor;
-          online_violations = Monitor.violations r.ir_monitor;
-        })
-      !records
-  in
-  let cache_evidence =
-    if not c.Gen.cache then None
-    else
-      (* How long an Inval can legitimately be in flight: the topology
-         diameter's worth of link latency with headroom, plus a constant
-         for service time on either end. *)
-      let hops =
-        match c.Gen.shape with Gen.Clique -> 1 | Gen.Star -> 2 | Gen.Line -> n - 1
-      in
-      let inval_grace = (float_of_int hops *. c.Gen.latency *. 1.5) +. 1.0 in
-      let fault_windows =
-        List.filter_map
-          (function
-            | Gen.Crash { at; recover_at; _ } -> Some (at, recover_at)
-            | Gen.Cut { at; heal_at; _ } -> Some (at, heal_at)
-            | Gen.Partition { at; heal_at; _ } -> Some (at, heal_at)
-            (* A herd delays invals by queueing, it never severs links —
-               the stale-beyond-lease rule gets no grace window for it. *)
-            | Gen.Herd _ -> None)
-          plan.Gen.faults
-      in
-      Some
-        {
-          Oracle.hits = List.rev !cache_hits;
-          mutations = List.rev !mutation_log;
-          lease_ttl = c.Gen.lease_ttl;
-          inval_grace;
-          fault_windows;
-        }
-  in
-  let issues =
-    Oracle.judge
-      {
-        Oracle.iterations;
-        engine_crashes = Accounting.engine_crashes accounting;
-        parked_fibers = Accounting.parked_fibers accounting;
-        steps;
-        step_cap;
-        unmatched_rpcs = Accounting.unmatched_rpcs accounting;
-        cache = cache_evidence;
+  let run =
+    Oracle.run watch ~step_cap (fun () ->
+        (* Iterations still open (stuck or cut off by the step cap): close the
+           books so the oracle can judge what was recorded. *)
+        List.iter
+          (fun r ->
+            if r.ir_outcome = `Unfinished then
+              ignore (Monitor.finish r.ir_monitor ~time:(Engine.now eng) : Figures.verdict))
+          !records;
+        let iterations =
+          List.rev_map
+            (fun r ->
+              {
+                Oracle.index = r.ir_index;
+                semantics = r.ir_semantics;
+                faulty = plan.Gen.faults <> [];
+                spec = r.ir_spec;
+                outcome = r.ir_outcome;
+                computation = Monitor.computation r.ir_monitor;
+                online_violations = Monitor.violations r.ir_monitor;
+              })
+            !records
+        in
+        let cache_evidence =
+          if not c.Gen.cache then None
+          else
+            (* How long an Inval can legitimately be in flight: the topology
+               diameter's worth of link latency with headroom, plus a constant
+               for service time on either end. *)
+            let hops =
+              match c.Gen.shape with Gen.Clique -> 1 | Gen.Star -> 2 | Gen.Line -> n - 1
+            in
+            let inval_grace = (float_of_int hops *. c.Gen.latency *. 1.5) +. 1.0 in
+            let fault_windows =
+              List.filter_map
+                (function
+                  | Gen.Crash { at; recover_at; _ } -> Some (at, recover_at)
+                  | Gen.Cut { at; heal_at; _ } -> Some (at, heal_at)
+                  | Gen.Partition { at; heal_at; _ } -> Some (at, heal_at)
+                  (* A herd delays invals by queueing, it never severs links —
+                     the stale-beyond-lease rule gets no grace window for it. *)
+                  | Gen.Herd _ -> None)
+                plan.Gen.faults
+            in
+            Some
+              {
+                Oracle.hits = List.rev !cache_hits;
+                mutations = List.rev !mutation_log;
+                lease_ttl = c.Gen.lease_ttl;
+                inval_grace;
+                fault_windows;
+              }
+        in
         (* Random VOPR plans do not deploy a replication group; the
-           table-driven cluster scenarios (Scenario) build this. *)
-        repl = None;
-      }
+           table-driven cluster scenarios (Scenario) build that evidence. *)
+        { Oracle.ev_iterations = iterations; ev_cache = cache_evidence; ev_repl = None })
   in
   (* One post-run trigger for the whole verdict (the first issue names
      the incident); mid-run violations already dumped with hot rings, and
      the debounce keeps this from double-dumping the same incident. *)
-  (match issues with
+  (match run.Oracle.issues with
   | [] -> ()
   | issue :: _ ->
       Flight.trigger flight ~time:(Engine.now eng)
@@ -459,11 +403,11 @@ let execute ?(step_cap = default_step_cap) plan =
            { category = Oracle.category issue; detail = Oracle.describe issue }));
   {
     plan;
-    digest = Digest.value digest;
-    events = Digest.count digest;
-    steps;
-    issues;
-    iterations;
+    digest = run.Oracle.digest;
+    events = run.Oracle.events;
+    steps = run.Oracle.steps;
+    issues = run.Oracle.issues;
+    iterations = run.Oracle.evidence.Oracle.ev_iterations;
     blackbox = Flight.dumps flight;
   }
 

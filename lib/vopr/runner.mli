@@ -1,18 +1,19 @@
 (** Executes generated plans in the deterministic simulator, judges them,
     sweeps seed ranges and reads/writes replayable repro bundles.
 
-    A plan executes in a fresh engine seeded with the plan's seed: the
-    topology is built from the config (coordinator at index 0, client
-    last, homes in between, ghost-copy directory policy so grow-only runs
-    are well-posed), the fault schedule is installed through the
-    {!Weakset_net.Fault} scheduled API — the same code path hand-written
-    scenarios use — and two driver fibers walk the workload: a mutator
-    for add/remove/size (honouring the write lock iff the plan contains
-    an immutable iteration) and a sequential iteration driver that runs
-    every [Iterate] with full spec instrumentation plus an online monitor
-    attached to the bus.  The whole run streams into a chained
-    {!Weakset_obs.Digest}, whose final value fingerprints the run:
-    re-executing the same plan must reproduce it byte-identically. *)
+    A plan executes in a fresh engine seeded with the plan's seed, on the
+    world {!Weakset_store.Sim_world} builds from the config: coordinator
+    at index 0, client last, homes in between, the ghost-copy directory
+    policy so grow-only runs are well-posed, the config's pull replicas
+    and lease cache, and the initial membership.  The fault schedule is
+    installed through the {!Weakset_net.Fault} scheduled API — the same
+    code path hand-written scenarios use — and two driver fibers walk the
+    workload: a mutator for add/remove/size (honouring the write lock iff
+    the plan contains an immutable iteration) and a sequential iteration
+    driver that runs every [Iterate] with full spec instrumentation, its
+    monitor judged online.  {!Oracle.watch} streams the whole run into a
+    chained {!Weakset_obs.Digest}, whose final value fingerprints the
+    run: re-executing the same plan must reproduce it byte-identically. *)
 
 type result = {
   plan : Gen.plan;

@@ -3,16 +3,13 @@ module Rng = Weakset_sim.Rng
 module Topology = Weakset_net.Topology
 module Nodeid = Weakset_net.Nodeid
 module Fault = Weakset_net.Fault
-module Rpc = Weakset_net.Rpc
+module World = Weakset_store.Sim_world
 module Node_server = Weakset_store.Node_server
 module Directory = Weakset_store.Directory
 module Client = Weakset_store.Client
 module Protocol = Weakset_store.Protocol
 module Oid = Weakset_store.Oid
-module Svalue = Weakset_store.Svalue
 module Group = Weakset_repl.Group
-module Bus = Weakset_obs.Bus
-module Digest = Weakset_obs.Digest
 
 (* Replicas are named r0..r(n-1) in scenario prose and addressed by
    index here; the interpreter adds one extra node for the client. *)
@@ -35,7 +32,7 @@ type t = {
   steps : step list;
 }
 
-let set_id = 1
+let set_id = World.set_id
 let heal_margin = 30.0
 let default_step_cap = 1_000_000
 
@@ -107,15 +104,7 @@ let fold_members ops =
           else acc)
     [] ops
 
-type run_stats = {
-  digest : string;
-  events : int;
-  steps : int;
-  issues : Oracle.issue list;
-  committed : int;
-  ops_ok : int;
-  ops_failed : int;
-}
+type run_stats = { judged : Oracle.run; committed : int; ops_ok : int; ops_failed : int }
 
 let execute ?(step_cap = default_step_cap) scn =
   validate scn;
@@ -125,25 +114,24 @@ let execute ?(step_cap = default_step_cap) scn =
      table entry replays the same virtual history, byte for byte. *)
   let seed = Int64.of_int (Hashtbl.hash scn.name) in
   let eng = Engine.create ~seed () in
-  let bus = Engine.bus eng in
-  let digest = Digest.create () in
-  Bus.attach bus ~name:"scenario-digest" (Digest.sink digest);
-  let accounting = Accounting.attach eng in
-  let topo = Topology.create () in
-  let nodes = Topology.clique topo (n + 1) ~latency:0.5 in
+  let watch = Oracle.watch eng in
+  (* The extra node runs the client and no store server of its own. *)
+  let w =
+    World.create
+      ?admission:(Option.map (fun capacity -> { Node_server.capacity }) scn.admission)
+      ~serve_client:false ~policy:Node_server.Defer_removes_while_iterating eng
+      ~nodes:(n + 1) ~latency:0.5 ()
+  in
+  let nodes = w.World.nodes and servers = w.World.servers and topo = w.World.topo in
+  let rpc = w.World.rpc and fault = w.World.fault and client = w.World.client in
   let client_node = nodes.(n) in
   let member_nodes = Array.to_list (Array.sub nodes 0 n) in
-  let rpc = Rpc.create eng topo in
-  let fault = Fault.create eng topo in
-  let admission =
-    Option.map (fun capacity -> { Node_server.capacity }) scn.admission
-  in
-  let servers =
-    Array.init n (fun i ->
-        let s = Node_server.create ?admission rpc nodes.(i) in
-        Node_server.host_directory s ~set_id ~policy:Node_server.Defer_removes_while_iterating;
-        s)
-  in
+  (* Every replica hosts the directory its group member governs. *)
+  Array.iteri
+    (fun i s ->
+      if i > 0 then
+        Node_server.host_directory s ~set_id ~policy:Node_server.Defer_removes_while_iterating)
+    servers;
   let ledger = Group.Ledger.create () in
   let groups =
     Array.init n (fun i ->
@@ -151,14 +139,7 @@ let execute ?(step_cap = default_step_cap) scn =
           ~server:servers.(i))
   in
   Array.iter (fun g -> Group.start g ~until:scn.until) groups;
-  let client = Client.create rpc client_node in
-  let sref =
-    {
-      Protocol.set_id;
-      coordinator = nodes.(0);
-      replicas = List.tl member_nodes;
-    }
-  in
+  let sref = { w.World.sref with Protocol.replicas = List.tl member_nodes } in
   (* Shared across workload windows so every Add names a fresh oid. *)
   let opk = ref 0 and ops_ok = ref 0 and ops_failed = ref 0 in
   (* Storm clients draw their retry jitter from split streams of a
@@ -262,68 +243,57 @@ let execute ?(step_cap = default_step_cap) scn =
           if i < n && not (Topology.node_up topo node) then Fault.recover_node fault node)
         nodes);
   probe (scn.until -. 2.0);
-  let steps = Engine.run ~max_steps:step_cap eng in
-  let r_final_logs =
-    List.filter_map
-      (fun g ->
-        let node = Group.me g in
-        if Topology.node_up topo node then
-          Some (Nodeid.to_int node, Group.committed_log g)
-        else None)
-      (Array.to_list groups)
-  in
-  let r_ledger =
-    List.map
-      (fun e -> (e.Group.Ledger.l_opnum, e.Group.Ledger.l_op))
-      (Group.Ledger.entries ledger)
-  in
-  (* Shed safety: each survivor's directory next to the fold of its
-     ledger-justified committed entries.  A shed mutation that was not a
-     clean no-op put an effect in the directory (and the directory's own
-     log) that no ledger-acked commit justifies, so the two memberships
-     part ways — judged per node, so commit propagation lag between
-     nodes cannot fake a divergence. *)
-  let r_dir_vs_log =
-    List.filter_map
-      (fun i ->
-        let node = nodes.(i) in
-        if Topology.node_up topo node then
-          let dir_members =
-            Directory.members (Node_server.directory_truth servers.(i) ~set_id)
-            |> Oid.Set.elements
-            |> List.map (Format.asprintf "%a" Oid.pp)
-          in
-          let justified =
-            List.filter
-              (fun entry -> List.mem entry r_ledger)
-              (Group.committed_log groups.(i))
-          in
-          Some (Nodeid.to_int node, dir_members, fold_members (List.map snd justified))
-        else None)
-      (List.init n Fun.id)
-  in
-  let evidence =
-    { Oracle.r_ledger; r_final_logs; r_probes = List.rev !probes; r_dir_vs_log }
-  in
-  let issues =
-    Oracle.judge
-      {
-        Oracle.iterations = [];
-        engine_crashes = Accounting.engine_crashes accounting;
-        parked_fibers = Accounting.parked_fibers accounting;
-        steps;
-        step_cap;
-        unmatched_rpcs = Accounting.unmatched_rpcs accounting;
-        cache = None;
-        repl = Some evidence;
-      }
+  let judged =
+    Oracle.run watch ~step_cap (fun () ->
+        let r_final_logs =
+          List.filter_map
+            (fun g ->
+              let node = Group.me g in
+              if Topology.node_up topo node then
+                Some (Nodeid.to_int node, Group.committed_log g)
+              else None)
+            (Array.to_list groups)
+        in
+        let r_ledger =
+          List.map
+            (fun e -> (e.Group.Ledger.l_opnum, e.Group.Ledger.l_op))
+            (Group.Ledger.entries ledger)
+        in
+        (* Shed safety: each survivor's directory next to the fold of its
+           ledger-justified committed entries.  A shed mutation that was not a
+           clean no-op put an effect in the directory (and the directory's own
+           log) that no ledger-acked commit justifies, so the two memberships
+           part ways — judged per node, so commit propagation lag between
+           nodes cannot fake a divergence. *)
+        let r_dir_vs_log =
+          List.filter_map
+            (fun i ->
+              let node = nodes.(i) in
+              if Topology.node_up topo node then
+                let dir_members =
+                  Directory.members (Node_server.directory_truth servers.(i) ~set_id)
+                  |> Oid.Set.elements
+                  |> List.map (Format.asprintf "%a" Oid.pp)
+                in
+                let justified =
+                  List.filter
+                    (fun entry -> List.mem entry r_ledger)
+                    (Group.committed_log groups.(i))
+                in
+                Some (Nodeid.to_int node, dir_members, fold_members (List.map snd justified))
+              else None)
+            (List.init n Fun.id)
+        in
+        {
+          Oracle.ev_iterations = [];
+          ev_cache = None;
+          ev_repl =
+            Some { Oracle.r_ledger; r_final_logs; r_probes = List.rev !probes; r_dir_vs_log };
+        })
   in
   {
-    digest = Digest.value digest;
-    events = Digest.count digest;
-    steps;
-    issues;
-    committed = List.length r_ledger;
+    judged;
+    committed = List.length (Group.Ledger.entries ledger);
     ops_ok = !ops_ok;
     ops_failed = !ops_failed;
   }
@@ -355,12 +325,13 @@ let run ?step_cap ?(planted = false) ?(planted_shed = false) scn =
          as passing if the replay is byte-identical. *)
       let a = execute ?step_cap scn in
       let b = execute ?step_cap scn in
+      let ja = a.judged and jb = b.judged in
       {
         o_name = scn.name;
-        o_digest = a.digest;
-        o_events = a.events;
-        o_deterministic = String.equal a.digest b.digest && a.events = b.events;
-        o_issues = a.issues;
+        o_digest = ja.Oracle.digest;
+        o_events = ja.Oracle.events;
+        o_deterministic = String.equal ja.Oracle.digest jb.Oracle.digest && ja.events = jb.events;
+        o_issues = ja.Oracle.issues;
         o_committed = a.committed;
         o_ops_ok = a.ops_ok;
         o_ops_failed = a.ops_failed;

@@ -4,8 +4,9 @@
     [replica_test.zig] style): named replicas [r0..r(n-1)], a virtual
     horizon, and a list of steps — faults over validated windows,
     deterministic client workload, and liveness probes.  The interpreter
-    builds a clique of [replicas + 1] nodes (the extra one runs the
-    client), hosts the directory on every replica, attaches a
+    builds a {!Weakset_store.Sim_world} clique of [replicas + 1] nodes
+    (the extra one runs the client and no store server), hosts the
+    directory on every replica, attaches a
     {!Weakset_repl.Group} member to each with one shared commit ledger,
     plays the steps, heals every fault [30s] before the horizon, and
     hands the ledger, each survivor's committed log and the probe

@@ -15,7 +15,7 @@ let check_bool = Alcotest.(check bool)
 (* World fixture                                                      *)
 (* ------------------------------------------------------------------ *)
 
-type world = {
+type world = Sim_world.t = {
   eng : Engine.t;
   topo : Topology.t;
   rpc : Node_server.rpc;
@@ -24,32 +24,18 @@ type world = {
   fault : Fault.t;
   client : Client.t;
   sref : Protocol.set_ref;
+  rng : Rng.t;
+  mutable next_num : int;
 }
 
-let set_id = 1
+let set_id = Sim_world.set_id
 
 (* Six-node clique: node 0 coordinates the directory, nodes 1-4 home
    objects, node 5 runs the client.  [replica_nodes] additionally host
    directory replicas with the given anti-entropy interval. *)
-let make_world ?(policy = Node_server.Immediate) ?(replica_nodes = []) ?(replica_interval = 5.0)
-    () =
-  let eng = Engine.create () in
-  let topo = Topology.create () in
-  let nodes = Topology.clique topo 6 ~latency:1.0 in
-  let rpc = Rpc.create eng topo in
-  let servers = Array.map (fun n -> Node_server.create rpc n) nodes in
-  let fault = Fault.create eng topo in
-  Node_server.host_directory servers.(0) ~set_id ~policy;
-  List.iter
-    (fun i ->
-      Node_server.host_replica servers.(i) ~set_id ~of_:nodes.(0) ~interval:replica_interval
-        ~until:10_000.0)
-    replica_nodes;
-  let client = Client.create rpc nodes.(5) in
-  let sref =
-    { Protocol.set_id; coordinator = nodes.(0); replicas = List.map (fun i -> nodes.(i)) replica_nodes }
-  in
-  { eng; topo; rpc; nodes; servers; fault; client; sref }
+let make_world ?policy ?(replica_nodes = []) ?(replica_interval = 5.0) () =
+  Sim_world.create ?policy ~replica_ixs:replica_nodes ~replica_interval ~replica_until:10_000.0
+    (Engine.create ()) ~nodes:6 ~latency:1.0 ()
 
 let oid_counter = ref 0
 

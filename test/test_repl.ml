@@ -30,17 +30,14 @@ type cluster = {
 }
 
 let cluster ?(n = 3) ?(policy = Node_server.Immediate) ~until () =
-  let eng = Engine.create ~seed:42L () in
-  let topo = Topology.create () in
-  let nodes = Topology.clique topo (n + 1) ~latency:0.5 in
-  let rpc = Rpc.create eng topo in
-  let fault = Fault.create eng topo in
-  let servers =
-    Array.init n (fun i ->
-        let s = Node_server.create rpc nodes.(i) in
-        Node_server.host_directory s ~set_id ~policy;
-        s)
+  (* The scenario layout: the extra node runs the client, with no store
+     server, and every replica hosts the directory. *)
+  let w =
+    Sim_world.create ~serve_client:false ~policy (Engine.create ~seed:42L ()) ~nodes:(n + 1)
+      ~latency:0.5 ()
   in
+  let { Sim_world.eng; topo; fault; nodes; servers; rpc; client; _ } = w in
+  Array.iteri (fun i s -> if i > 0 then Node_server.host_directory s ~set_id ~policy) servers;
   let members = Array.to_list (Array.sub nodes 0 n) in
   let ledger = Group.Ledger.create () in
   let groups =
@@ -48,8 +45,7 @@ let cluster ?(n = 3) ?(policy = Node_server.Immediate) ~until () =
         Group.create rpc ~set_id ~members ~me:nodes.(i) ~ledger ~server:servers.(i))
   in
   Array.iter (fun g -> Group.start g ~until) groups;
-  let client = Client.create rpc nodes.(n) in
-  let sref = { Protocol.set_id; coordinator = nodes.(0); replicas = List.tl members } in
+  let sref = { w.Sim_world.sref with Protocol.replicas = List.tl members } in
   { eng; topo; fault; nodes; servers; groups; ledger; client; sref }
 
 (* ------------------------------------------------------------------ *)

@@ -122,6 +122,16 @@ let test_staleness_empty_computation () =
   check_int "no adds" 0 st.Scenarios.adds_during;
   check_int "no stale" 0 st.Scenarios.stale_yields
 
+(* The seeded baseline suite is deterministic, so a fresh run must
+   reproduce the committed BENCH_baseline.json metric for metric: the
+   fingerprint of the worlds [clique_world] builds for it. *)
+let test_baseline_reproduces_committed () =
+  match Baseline.read "../BENCH_baseline.json" with
+  | Error msg -> Alcotest.fail msg
+  | Ok committed ->
+      Alcotest.(check (list (pair string (float 0.0))))
+        "metric for metric" committed (Baseline.collect ())
+
 let () =
   Alcotest.run "bench_scenarios"
     [
@@ -136,5 +146,7 @@ let () =
           Alcotest.test_case "staleness metrics" `Quick test_staleness_metrics;
           Alcotest.test_case "staleness on empty computation" `Quick
             test_staleness_empty_computation;
+          Alcotest.test_case "baseline reproduces BENCH_baseline.json" `Quick
+            test_baseline_reproduces_committed;
         ] );
     ]
