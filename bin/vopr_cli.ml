@@ -184,8 +184,9 @@ let cmd_run args =
           Runner.write_bundle ~path (Runner.bundle_of_result bundled);
           Printf.printf "  bundle: %s\n%!" path)
         o.bundle_dir;
-      (* Flight dumps of the original failing run: the incident's own
-         forensics, before shrinking rewrote the schedule. *)
+      (* Flight dumps of the original failing run, replayed from its
+         seed: the incident's own forensics, before shrinking rewrote
+         the schedule. *)
       Option.iter
         (fun dir ->
           List.iteri
@@ -199,7 +200,7 @@ let cmd_run args =
               close_out oc;
               Printf.printf "  blackbox: %s (%s)\n%!" path
                 (Weakset_obs.Flight.cause_label d.d_cause))
-            r.blackbox)
+            (Runner.blackbox r))
         o.blackbox_dir
     end
   in

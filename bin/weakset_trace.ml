@@ -18,7 +18,8 @@ let usage =
   \  diff FILE FILE   digest-aligned prefix diff of two traces\n\
   \  blackbox FILE..  render flight-recorder dumps (or the dumps embedded\n\
   \                   in VOPR repro bundles): trigger, tail exemplars and\n\
-  \                   their reconstructed span trees\n\
+  \                   their reconstructed span trees (exit 3 if no tail\n\
+  \                   exemplar in any dump resolves to a span tree)\n\
   \  saturation FILE  attribute the latency tail of open-loop request spans\n\
   \                   to phases via critical-path self time (run against a\n\
   \                   trace from weakset_bench --e13 --trace-jsonl)\n\n\
@@ -227,6 +228,8 @@ let rec resolve_root tr (sp : Trace.span) =
   | Some p -> (
       match Trace.span tr p with None -> sp | Some up -> resolve_root tr up)
 
+(* Both renderings return how many tail exemplars resolved to a span
+   recorded in the dump's own rings. *)
 let render_dump k doc =
   match Flight.parse_dump doc with
   | Error m -> die "weakset_trace: %s" m
@@ -248,6 +251,7 @@ let render_dump k doc =
           p.Flight.p_inflight
       end;
       let exemplars = Flight.tail_exemplars p.Flight.p_metrics in
+      let resolved = ref 0 in
       if exemplars = [] then Buffer.add_string buf "no exemplars recorded\n"
       else begin
         Buffer.add_string buf "tail exemplars (worst first):\n";
@@ -269,6 +273,7 @@ let render_dump k doc =
                     Buffer.add_string buf
                       (Printf.sprintf "exemplar span %d (%s): not in ring (evicted)\n" s key)
                 | Some sp ->
+                    incr resolved;
                     let root = resolve_root tr sp in
                     if not (List.mem root.Trace.id !seen_roots) then begin
                       seen_roots := root.Trace.id :: !seen_roots;
@@ -278,7 +283,8 @@ let render_dump k doc =
                     end))
           exemplars
       end;
-      print_string (Buffer.contents buf)
+      print_string (Buffer.contents buf);
+      !resolved
 
 (* Machine-readable rendering: one JSON object per dump, one per line,
    fields in fixed order, floats as %.17g — pipe into jq, diff in CI. *)
@@ -302,6 +308,7 @@ let render_dump_json file k doc =
         p.Flight.p_inflight;
       Buffer.add_string b "],\"exemplars\":[";
       let tr = Trace.build p.Flight.p_events in
+      let resolved_n = ref 0 in
       List.iteri
         (fun i (key, v, tm, span) ->
           if i > 0 then Buffer.add_char b ',';
@@ -310,24 +317,34 @@ let render_dump_json file k doc =
             | None -> ("null", false)
             | Some s -> (string_of_int s, Trace.span tr s <> None)
           in
+          if resolved then incr resolved_n;
           Buffer.add_string b
             (Printf.sprintf
                "{\"metric\":%S,\"value\":%s,\"time\":%s,\"span\":%s,\"resolved\":%b}" key
                (fnum v) (fnum tm) span_field resolved))
         (Flight.tail_exemplars p.Flight.p_metrics);
       Buffer.add_string b "]}\n";
-      print_string (Buffer.contents b)
+      print_string (Buffer.contents b);
+      !resolved_n
 
+(* Exit 3 when no tail exemplar in any dump resolved to a span tree: the
+   dumps are there but cannot explain the tail they recorded. *)
 let cmd_blackbox ~json files =
   if files = [] then usage_die "blackbox expects at least one FILE";
+  let resolved = ref 0 in
   List.iter
     (fun file ->
       match dumps_of_file file with
       | [] ->
           if not json then Printf.printf "== %s: no black-box dumps ==\n" file
       | dumps ->
-          List.iteri (if json then render_dump_json file else render_dump) dumps)
-    files
+          List.iteri
+            (fun k doc ->
+              let n = if json then render_dump_json file k doc else render_dump k doc in
+              resolved := !resolved + n)
+            dumps)
+    files;
+  if !resolved = 0 then exit 3
 
 (* --- saturation anatomy ----------------------------------------------- *)
 

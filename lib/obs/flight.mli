@@ -1,4 +1,4 @@
-(** Black-box flight recorder: always-on bounded capture, dumped only
+(** Black-box flight recorder: bounded capture while attached, dumped only
     when something goes wrong.
 
     A recorder keeps one lossy {!Ring} of recent events per node (plus a

@@ -27,7 +27,10 @@ type result = {
   steps : int;
   issues : Oracle.issue list;
   iterations : Oracle.iteration_input list;
-  blackbox : Flight.dump list;
+  step_cap : int;
+  planted : bool;
+  planted_cache : bool;
+  planted_spec : bool;
 }
 
 let default_step_cap = 1_000_000
@@ -122,17 +125,25 @@ let spec_for plan sem =
     Semantics.window_spec_of sem
   else Semantics.spec_of ~no_failures:(plan.Gen.faults = []) sem
 
-let execute ?(step_cap = default_step_cap) plan =
+(* One body for {!execute} and {!blackbox}.  With [~record] a flight
+   recorder rides along: it triggers itself on spec violations and node
+   crashes during the run, and the oracle adds a post-run verdict
+   trigger.  The recorder only listens, so the run's digest, events and
+   steps are the same either way.  Ring capacity is modest — dumps ride
+   inside repro bundles. *)
+let run_plan ~record ~step_cap plan =
   validate plan;
+  let planted = !Weakset_core.Impl_common.planted_grow_only_drop in
+  let planted_cache = !Cache.planted_inval_drop in
+  let planted_spec = !Weakset_spec.Visibility.planted_axiom_mutation in
   let c = plan.Gen.config in
   let n = c.Gen.nodes in
   let eng = Engine.create ~seed:plan.Gen.seed () in
   let bus = Engine.bus eng in
   let watch = Oracle.watch eng in
-  (* Always-on black box: triggers itself on spec violations and node
-     crashes during the run; the oracle adds a post-run verdict trigger.
-     Ring capacity is modest — dumps ride inside repro bundles. *)
-  let flight = Flight.create ~capacity:256 ~debounce:100.0 bus in
+  let flight =
+    if record then Some (Flight.create ~capacity:256 ~debounce:100.0 bus) else None
+  in
   (* Ghost-copy policy unconditionally: it only defers removals while
      grow-only iterators are registered, and without it a grow-only run
      concurrent with removals violates its own type constraint — an
@@ -395,21 +406,60 @@ let execute ?(step_cap = default_step_cap) plan =
   (* One post-run trigger for the whole verdict (the first issue names
      the incident); mid-run violations already dumped with hot rings, and
      the debounce keeps this from double-dumping the same incident. *)
-  (match run.Oracle.issues with
-  | [] -> ()
-  | issue :: _ ->
+  (match (flight, run.Oracle.issues) with
+  | None, _ | _, [] -> ()
+  | Some flight, issue :: _ ->
       Flight.trigger flight ~time:(Engine.now eng)
         (Flight.Oracle_verdict
            { category = Oracle.category issue; detail = Oracle.describe issue }));
-  {
-    plan;
-    digest = run.Oracle.digest;
-    events = run.Oracle.events;
-    steps = run.Oracle.steps;
-    issues = run.Oracle.issues;
-    iterations = run.Oracle.evidence.Oracle.ev_iterations;
-    blackbox = Flight.dumps flight;
-  }
+  ( {
+      plan;
+      digest = run.Oracle.digest;
+      events = run.Oracle.events;
+      steps = run.Oracle.steps;
+      issues = run.Oracle.issues;
+      iterations = run.Oracle.evidence.Oracle.ev_iterations;
+      step_cap;
+      planted;
+      planted_cache;
+      planted_spec;
+    },
+    match flight with Some f -> Flight.dumps f | None -> [] )
+
+let execute ?(step_cap = default_step_cap) plan = fst (run_plan ~record:false ~step_cap plan)
+
+(* Arm the three planted-bug flags for [f] and restore them afterwards. *)
+let with_planted ~grow_only ~cache ~spec f =
+  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
+  let cflag = Cache.planted_inval_drop in
+  let sflag = Weakset_spec.Visibility.planted_axiom_mutation in
+  let saved = !flag and csaved = !cflag and ssaved = !sflag in
+  flag := grow_only;
+  cflag := cache;
+  sflag := spec;
+  Fun.protect
+    ~finally:(fun () ->
+      flag := saved;
+      cflag := csaved;
+      sflag := ssaved)
+    f
+
+(* Runs are deterministic, so the seed is the black box: re-execute the
+   plan under the run's own step cap and planted flags with the recorder
+   attached, and refuse dumps from a replay that simulated anything
+   else. *)
+let blackbox r =
+  let got, dumps =
+    with_planted ~grow_only:r.planted ~cache:r.planted_cache ~spec:r.planted_spec (fun () ->
+        run_plan ~record:true ~step_cap:r.step_cap r.plan)
+  in
+  if got.digest <> r.digest || got.events <> r.events then
+    failwith
+      (Printf.sprintf
+         "Vopr.Runner.blackbox: replay of seed %Ld diverged: digest %s over %d events, \
+          expected %s over %d"
+         r.plan.Gen.seed got.digest got.events r.digest r.events);
+  dumps
 
 let sweep ?step_cap ?(progress = fun _ _ -> ()) seeds =
   List.map
@@ -437,13 +487,13 @@ type bundle = {
 let bundle_of_result r =
   {
     b_plan = r.plan;
-    b_planted = !Weakset_core.Impl_common.planted_grow_only_drop;
-    b_planted_cache = !Cache.planted_inval_drop;
-    b_planted_spec = !Weakset_spec.Visibility.planted_axiom_mutation;
+    b_planted = r.planted;
+    b_planted_cache = r.planted_cache;
+    b_planted_spec = r.planted_spec;
     b_digest = r.digest;
     b_events = r.events;
     b_issues = r.issues;
-    b_blackbox = List.map (fun d -> d.Flight.d_json) r.blackbox;
+    b_blackbox = List.map (fun d -> d.Flight.d_json) (blackbox r);
   }
 
 (* Dumps are embedded as JSON *strings* (escaped), not nested documents,
@@ -539,22 +589,12 @@ type replay_outcome =
   | Digest_mismatch of { got : result; expected : string }
   | Verdict_mismatch of result
 
-(* The bundle records whether the planted bug was armed at record time,
-   so a replay in a fresh process reproduces the same binary behaviour. *)
+(* The bundle records whether each planted bug was armed when the run
+   started, so a replay in a fresh process reproduces the same binary
+   behaviour. *)
 let replay ?step_cap b =
-  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
-  let cflag = Cache.planted_inval_drop in
-  let sflag = Weakset_spec.Visibility.planted_axiom_mutation in
-  let saved = !flag and csaved = !cflag and ssaved = !sflag in
-  flag := b.b_planted;
-  cflag := b.b_planted_cache;
-  sflag := b.b_planted_spec;
   let got =
-    Fun.protect
-      ~finally:(fun () ->
-        flag := saved;
-        cflag := csaved;
-        sflag := ssaved)
+    with_planted ~grow_only:b.b_planted ~cache:b.b_planted_cache ~spec:b.b_planted_spec
       (fun () -> execute ?step_cap b.b_plan)
   in
   if got.digest <> b.b_digest || got.events <> b.b_events then

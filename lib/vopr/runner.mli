@@ -15,6 +15,9 @@
     chained {!Weakset_obs.Digest}, whose final value fingerprints the
     run: re-executing the same plan must reproduce it byte-identically. *)
 
+(** What a run produced, and what {!blackbox} needs to replay it: the
+    plan, the step cap and the planted flags.  A run keeps no flight
+    recorder; its dumps are replayed from the seed on read. *)
 type result = {
   plan : Gen.plan;
   digest : string;  (** chained digest of the full event stream *)
@@ -26,17 +29,32 @@ type result = {
           chosen spec — the raw material the oracle judged, exposed so
           equivalence suites can re-judge the same runs under other
           checkers *)
-  blackbox : Weakset_obs.Flight.dump list;
-      (** flight-recorder dumps the run triggered (spec violations and
-          node crashes mid-run, plus one post-run oracle verdict when the
-          run failed), oldest first; deterministic per plan *)
+  step_cap : int;  (** the step cap the run executed under *)
+  planted : bool;
+      (** was {!Weakset_core.Impl_common.planted_grow_only_drop} armed
+          when the run started? *)
+  planted_cache : bool;  (** likewise for {!Weakset_store.Cache.planted_inval_drop} *)
+  planted_spec : bool;
+      (** likewise for {!Weakset_spec.Visibility.planted_axiom_mutation} *)
 }
 
 (** Default step cap (events processed) before a run is declared a
     livelock. *)
 val default_step_cap : int
 
+(** [execute ?step_cap plan] runs [plan] under the planted flags as they
+    are now, with no flight recorder attached. *)
 val execute : ?step_cap:int -> Gen.plan -> result
+
+(** [blackbox r] is the flight-recorder dumps of run [r] (spec violations
+    and node crashes mid-run, plus one post-run oracle verdict when the
+    run failed), oldest first.  It re-executes [r.plan] under [r]'s step
+    cap and planted flags with a recorder attached, restoring the flags
+    afterwards.  The recorder emits no events, so the replay is the same
+    run and the dumps are deterministic per plan.  Raises [Failure] when
+    the replay's digest or event count differs from [r]'s, so dumps can
+    never belong to a different run. *)
+val blackbox : result -> Weakset_obs.Flight.dump list
 
 (** [sweep ?step_cap ?progress seeds] generates and executes one plan per
     seed, calling [progress] after each. *)
@@ -49,7 +67,7 @@ type bundle = {
   b_plan : Gen.plan;
   b_planted : bool;
       (** was {!Weakset_core.Impl_common.planted_grow_only_drop} armed when
-          this bundle was recorded?  {!replay} restores it for the rerun. *)
+          the recorded run started?  {!replay} restores it for the rerun. *)
   b_planted_cache : bool;
       (** likewise for {!Weakset_store.Cache.planted_inval_drop} *)
   b_planted_spec : bool;
@@ -59,13 +77,16 @@ type bundle = {
   b_events : int;
   b_issues : Oracle.issue list;  (** the recorded oracle verdict *)
   b_blackbox : string list;
-      (** black-box dump documents captured at record time (see
+      (** black-box dump documents of the recorded run (see
           {!Weakset_obs.Flight}); embedded as escaped JSON strings so
           they round-trip byte-exactly.  Replays regenerate identical
           dumps, so they are not part of the replay comparison.  Absent
           in older bundles; parses as [[]]. *)
 }
 
+(** [bundle_of_result r] takes the planted flags from [r], not from the
+    flags' current values, and its dumps from {!blackbox} (one replay of
+    [r.plan]). *)
 val bundle_of_result : result -> bundle
 val bundle_to_json : bundle -> string
 val bundle_of_string : string -> (bundle, string) Stdlib.result

@@ -8,7 +8,8 @@
      vopr <seed> <digest> <events> <steps>      Runner.execute, seeds 0..63
      scenario <name> <digest> <events>          every Scenario.table row
      dump <seed> <k> <md5>                      k-th flight dump of a vopr
-                                                seed, md5 of its JSON
+                                                seed (Runner.blackbox),
+                                                md5 of its JSON
 
    A change that is meant to alter simulated behaviour regenerates it,
    and says so in its description:
@@ -20,7 +21,8 @@ module Scenario = Weakset_vopr.Scenario
 
 let golden_file = "digest_pin.golden"
 
-(* One execution per seed yields its vopr line and its dump lines. *)
+(* One execution per seed yields its vopr line; its dump lines come from
+   replaying that run with the recorder attached. *)
 let vopr_run seed =
   let r = Runner.execute (Gen.generate (Int64.of_int seed)) in
   let vopr =
@@ -31,7 +33,7 @@ let vopr_run seed =
       (fun k d ->
         Printf.sprintf "dump %d %d %s" seed k
           (Stdlib.Digest.to_hex (Stdlib.Digest.string d.Weakset_obs.Flight.d_json)))
-      r.Runner.blackbox
+      (Runner.blackbox r)
   in
   (vopr, dumps)
 

@@ -382,22 +382,25 @@ let test_slo_alert_triggers_flight_debounced () =
 (* ------------------------------------------------------------------ *)
 
 (* First seed in the CI smoke range whose planted-bug run fails. *)
-let failing_planted_plan () =
-  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
-  let rec scan seed =
-    if seed >= 33L then Alcotest.fail "no failing planted-bug seed in 0..32"
-    else
-      let r = Runner.execute (Gen.generate seed) in
-      if r.Runner.issues <> [] then (seed, r) else scan (Int64.add seed 1L)
-  in
-  let saved = !flag in
-  flag := true;
-  Fun.protect ~finally:(fun () -> flag := saved) (fun () -> scan 0L)
+let failing_planted =
+  lazy
+    (let flag = Weakset_core.Impl_common.planted_grow_only_drop in
+     let rec scan seed =
+       if seed >= 33L then Alcotest.fail "no failing planted-bug seed in 0..32"
+       else
+         let r = Runner.execute (Gen.generate seed) in
+         if r.Runner.issues <> [] then (seed, r) else scan (Int64.add seed 1L)
+     in
+     let saved = !flag in
+     flag := true;
+     Fun.protect ~finally:(fun () -> flag := saved) (fun () -> scan 0L))
 
 let test_vopr_blackbox_end_to_end () =
   let flag = Weakset_core.Impl_common.planted_grow_only_drop in
-  let seed, r = failing_planted_plan () in
-  checkb "failing run carries dumps" true (r.Runner.blackbox <> []);
+  let seed, r = Lazy.force failing_planted in
+  (* The planted flag is off again: the replay must arm it from [r]. *)
+  let dumps = Runner.blackbox r in
+  checkb "failing run carries dumps" true (dumps <> []);
   (* Byte-identical across replays of the same seed. *)
   let saved = !flag in
   flag := true;
@@ -408,8 +411,8 @@ let test_vopr_blackbox_end_to_end () =
   check
     (Alcotest.list Alcotest.string)
     "dumps byte-identical across replays"
-    (List.map (fun d -> d.Flight.d_json) r.Runner.blackbox)
-    (List.map (fun d -> d.Flight.d_json) r2.Runner.blackbox);
+    (List.map (fun d -> d.Flight.d_json) dumps)
+    (List.map (fun d -> d.Flight.d_json) (Runner.blackbox r2));
   (* Each dump parses; at least one exemplar span resolves to a span
      tree reconstructed from the dump's own rings. *)
   let resolved = ref 0 in
@@ -425,10 +428,12 @@ let test_vopr_blackbox_end_to_end () =
               | Some s when Trace.span tr s <> None -> incr resolved
               | _ -> ())
             (Flight.tail_exemplars p.Flight.p_metrics))
-    r.Runner.blackbox;
+    dumps;
   checkb "an exemplar resolves to a recorded span" true (!resolved > 0);
+  (* The bundle records the flags the run had, not the current ones. *)
+  let b = Runner.bundle_of_result r in
+  checkb "bundle records the run's planted flag" true b.Runner.b_planted;
   (* Dumps ride inside repro bundles and round-trip byte-exactly. *)
-  let b = { (Runner.bundle_of_result r) with Runner.b_planted = true } in
   match Runner.bundle_of_string (Runner.bundle_to_json b) with
   | Error m -> Alcotest.fail m
   | Ok b' ->
@@ -436,6 +441,25 @@ let test_vopr_blackbox_end_to_end () =
         (Alcotest.list Alcotest.string)
         "bundle round-trips dumps"
         b.Runner.b_blackbox b'.Runner.b_blackbox
+
+(* Dumps are replayed from the seed, so the replay must be the same run:
+   a result whose digest no replay can reach is refused, and the dumps do
+   not depend on the planted flag's value at read time. *)
+let test_vopr_blackbox_replay_guard () =
+  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
+  let _seed, r = Lazy.force failing_planted in
+  (match Runner.blackbox { r with Runner.digest = "0" } with
+  | exception (Failure _ | Invalid_argument _) -> ()
+  | _ -> Alcotest.fail "blackbox accepted a diverging replay");
+  let json () = List.map (fun d -> d.Flight.d_json) (Runner.blackbox r) in
+  let saved = !flag in
+  flag := true;
+  let armed = Fun.protect ~finally:(fun () -> flag := saved) json in
+  flag := false;
+  let disarmed = Fun.protect ~finally:(fun () -> flag := saved) json in
+  check (Alcotest.list Alcotest.string) "dumps independent of the flag at read time" armed
+    disarmed;
+  checkb "flag restored after blackbox" saved !flag
 
 let () =
   Alcotest.run "weakset_flight"
@@ -477,5 +501,6 @@ let () =
         [
           Alcotest.test_case "planted bug: dumps, exemplars, bundles" `Slow
             test_vopr_blackbox_end_to_end;
+          Alcotest.test_case "replay guard" `Slow test_vopr_blackbox_replay_guard;
         ] );
     ]
