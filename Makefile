@@ -64,8 +64,8 @@ e13-smoke:
 # overload-survival contract (admission-on knee no earlier than off, zero
 # sheds below the knee, p999 strictly lower at saturation) and exits
 # nonzero when it breaks; the rerun must produce byte-identical curves,
-# and the trace must render a non-empty overload anatomy (sheds by
-# class).
+# and the trace must render a non-empty overload anatomy (weakset_trace
+# saturation --overload exits 3 when no segment holds a shed).
 admission-smoke:
 	dune exec bench/main.exe -- --e13 --admission --load-clients 16 --load-duration 100 \
 	  --curves-json admission-curves.json --trace-jsonl /tmp/admission-smoke.jsonl
@@ -73,10 +73,7 @@ admission-smoke:
 	  --curves-json /tmp/admission-smoke-2.json > /dev/null
 	@cmp -s admission-curves.json /tmp/admission-smoke-2.json \
 	  || { echo "admission-smoke: admission-curves.json is not byte-identical across reruns"; exit 1; }
-	dune exec bin/weakset_trace.exe -- saturation --overload /tmp/admission-smoke.jsonl \
-	  | tee /tmp/admission-smoke-trace.out > /dev/null
-	@grep -q "server sheds by op class" /tmp/admission-smoke-trace.out \
-	  || { echo "admission-smoke: trace rendered no shed anatomy"; exit 1; }
+	dune exec bin/weakset_trace.exe -- saturation --overload /tmp/admission-smoke.jsonl > /dev/null
 
 # Bounded VOPR swarm: 32 seed-derived scenarios (virtual-time budgets keep
 # this well under a minute of wall clock), plus the mutation tests — the

@@ -34,10 +34,9 @@ let usage =
   \  --planted-cache-bug  arm the planted cache Inval drop (mutation test)\n\
   \  --planted-spec-bug   arm the planted membership-axiom flip (mutation test)\n\
   \  --quiet              only print failures and the summary\n\n\
-   replay options:\n\
-  \  --step-cap N         engine step budget (default 1000000)\n\
+   replay options (the bundle's recorded step cap and planted flags apply):\n\
   \  BUNDLE               repro bundle written by run/shrink\n\n\
-   shrink options:\n\
+   shrink options (the bundle's recorded step cap and planted flags apply):\n\
   \  --max-runs N         candidate execution budget (default 200)\n\
   \  -o FILE              output bundle (default: overwrite input)\n\
   \  BUNDLE               repro bundle to minimise\n\n\
@@ -212,24 +211,15 @@ let cmd_run args =
 (* replay                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type replay_opts = { mutable r_step_cap : int option; mutable r_bundle : string option }
-
 let parse_replay_args args =
-  let o = { r_step_cap = None; r_bundle = None } in
-  let rec go = function
-    | [] -> ()
-    | "--step-cap" :: v :: rest ->
-        o.r_step_cap <- Some (int_arg "--step-cap" v);
-        go rest
-    | [ "--step-cap" ] -> usage_die "--step-cap expects an argument"
+  let rec go bundle = function
+    | [] -> bundle
     | a :: _ when String.length a > 0 && a.[0] = '-' -> usage_die "replay: unknown option %S" a
     | path :: rest ->
-        if o.r_bundle <> None then usage_die "replay: more than one bundle given";
-        o.r_bundle <- Some path;
-        go rest
+        if bundle <> None then usage_die "replay: more than one bundle given";
+        go (Some path) rest
   in
-  go args;
-  o
+  go None args
 
 let load_bundle path =
   match Runner.read_bundle ~path with
@@ -239,10 +229,11 @@ let load_bundle path =
       exit 1
 
 let cmd_replay args =
-  let o = parse_replay_args args in
-  let path = match o.r_bundle with Some p -> p | None -> usage_die "replay: no bundle given" in
+  let path =
+    match parse_replay_args args with Some p -> p | None -> usage_die "replay: no bundle given"
+  in
   let b = load_bundle path in
-  match Runner.replay ?step_cap:o.r_step_cap b with
+  match Runner.replay b with
   | Runner.Reproduced r ->
       Printf.printf "reproduced: seed %Ld, digest %s over %d events, %d issue(s)\n" b.b_plan.seed
         r.digest r.events (List.length r.issues);
@@ -294,9 +285,6 @@ let cmd_shrink args =
   let o = parse_shrink_args args in
   let path = match o.s_bundle with Some p -> p | None -> usage_die "shrink: no bundle given" in
   let b = load_bundle path in
-  Weakset_core.Impl_common.planted_grow_only_drop := b.b_planted;
-  Weakset_store.Cache.planted_inval_drop := b.b_planted_cache;
-  Weakset_spec.Visibility.planted_axiom_mutation := b.b_planted_spec;
   let issues =
     match b.b_issues with
     | [] ->
@@ -304,9 +292,15 @@ let cmd_shrink args =
         exit 1
     | l -> l
   in
-  let run p = (Runner.execute p).issues in
-  let plan', _, st = Shrink.minimize ?max_runs:o.s_max_runs ~run ~issues b.b_plan in
-  let r' = Runner.execute plan' in
+  (* Shrink under the recorded run's own step cap and planted flags. *)
+  let execute p = Runner.execute ~step_cap:b.b_step_cap p in
+  let st, r' =
+    Runner.with_planted ~grow_only:b.b_planted ~cache:b.b_planted_cache ~spec:b.b_planted_spec
+      (fun () ->
+        let run p = (execute p).issues in
+        let plan', _, st = Shrink.minimize ?max_runs:o.s_max_runs ~run ~issues b.b_plan in
+        (st, execute plan'))
+  in
   Printf.printf "shrunk %d -> %d schedule events (%d candidate runs, %d kept)\n"
     st.initial_events st.final_events st.runs st.kept;
   let out = Option.value o.s_out ~default:path in

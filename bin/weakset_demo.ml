@@ -198,44 +198,6 @@ let run_ls files fanout kill =
   0
 
 (* ------------------------------------------------------------------ *)
-(* disconnect                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let run_disconnect files offline_for =
-  let eng = Engine.create ~seed:12L () in
-  let rng = Rng.split (Engine.rng eng) in
-  let topo = Topology.create () in
-  let nodes = Topology.clique topo 6 ~latency:2.0 in
-  let rpc : Node_server.rpc = Rpc.create eng topo in
-  let servers = Array.map (fun n -> Node_server.create rpc n) nodes in
-  let fault = Fault.create eng topo in
-  let dfs = Dfs.create rpc servers in
-  let dir = Fpath.of_string "/hoard" in
-  let homes = [ 1; 2; 3; 4 ] in
-  let (_ : Oid.t array) =
-    Workload.spread_tree dfs ~rng ~dir ~coordinator:1 ~files ~homes ~mean_size:512 ()
-  in
-  let session = Disconnect.setup dfs ~fault ~client_ix:0 dir ~sync_interval:30.0 in
-  Engine.spawn eng ~name:"mobile" (fun () ->
-      let hoarded = Disconnect.hoard session in
-      Printf.printf "hoarded %d/%d files
-" hoarded files;
-      Disconnect.disconnect session;
-      Printf.printf "disconnected at t=%.1f
-" (Engine.now eng);
-      Engine.sleep eng offline_for;
-      let hits, misses = Disconnect.local_query session () in
-      Printf.printf "offline query at t=%.1f: %d entries, %d missing
-" (Engine.now eng)
-        (List.length hits) misses;
-      Disconnect.reconnect session;
-      ignore (Disconnect.resync session);
-      Printf.printf "reintegrated at t=%.1f
-" (Engine.now eng));
-  let (_ : int) = Engine.run ~until:1.0e6 eng in
-  0
-
-(* ------------------------------------------------------------------ *)
 (* Cmdliner wiring                                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -303,18 +265,9 @@ let ls_cmd =
     (Cmd.info "ls" ~doc:"Strict vs weak ls over a 16-node WAN.")
     Term.(const run_ls $ files $ fanout $ kill)
 
-let disconnect_cmd =
-  let files = Arg.(value & opt int 12 & info [ "files" ] ~docv:"N" ~doc:"Files to hoard.") in
-  let offline =
-    Arg.(value & opt float 300.0 & info [ "offline-for" ] ~docv:"T" ~doc:"Offline duration.")
-  in
-  Cmd.v
-    (Cmd.info "disconnect" ~doc:"Hoard, disconnect, query offline, reintegrate (mobile client).")
-    Term.(const run_disconnect $ files $ offline)
-
 let () =
   let doc = "weak sets: the design space of Wing & Steere (ICDCS 1995), executable" in
   let info = Cmd.info "weakset_demo" ~doc in
   exit
     (Cmd.eval'
-       (Cmd.group info [ specs_cmd; figures_cmd; iterate_cmd; matrix_cmd; ls_cmd; disconnect_cmd ]))
+       (Cmd.group info [ specs_cmd; figures_cmd; iterate_cmd; matrix_cmd; ls_cmd ]))

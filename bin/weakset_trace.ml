@@ -22,7 +22,8 @@ let usage =
   \                   exemplar in any dump resolves to a span tree)\n\
   \  saturation FILE  attribute the latency tail of open-loop request spans\n\
   \                   to phases via critical-path self time (run against a\n\
-  \                   trace from weakset_bench --e13 --trace-jsonl)\n\n\
+  \                   trace from weakset_bench --e13 --trace-jsonl; with\n\
+  \                   --overload, exit 3 if no segment holds a shed)\n\n\
    options:\n\
   \  --world NAME     restrict to the named world segment\n\
   \  --no-times       (tree) structure only: no ids, times or durations\n\
@@ -363,7 +364,8 @@ let lerp_percentile arr p =
    event per rejected request (detail carries "class=...") and the
    retry-budgeted client a Custom "client-retry" per retry decision
    (detail carries "outcome=...").  Group counts by that token and
-   render deterministically (count desc, then name). *)
+   render deterministically (count desc, then name).  Returns the number
+   of sheds rendered. *)
 module Event = Weakset_obs.Event
 
 let token_field detail key =
@@ -418,15 +420,18 @@ let render_overload buf events =
         (fun (oc, n) -> Buffer.add_string buf (Printf.sprintf "    %-10s %8d\n" oc n))
         retry_rows
     end
-  end
+  end;
+  List.fold_left (fun acc (_, c) -> acc + c) 0 shed_rows
 
 (* Attribute the tail of the open-loop request population to phases.
    Request spans are back-dated to their intended arrival tick, so a
    request that waited for a free client shows that wait as leading self
    time of the request span itself — the coordinated-omission share of
    the tail appears as the op's own phase, and server/RPC time as the
-   [client.*] phases below it. *)
+   [client.*] phases below it.  With [--overload], exit 3 when no segment
+   holds a shed: the overload anatomy has nothing to explain. *)
 let cmd_saturation o files =
+  let sheds = ref 0 in
   List.iter
     (fun seg ->
       print_string (header seg);
@@ -515,10 +520,11 @@ let cmd_saturation o files =
             slowest);
       if o.overload then begin
         let buf = Buffer.create 256 in
-        render_overload buf seg.Trace.events;
+        sheds := !sheds + render_overload buf seg.Trace.events;
         print_string (Buffer.contents buf)
       end)
-    (one_file o files)
+    (one_file o files);
+  if o.overload && !sheds = 0 then exit 3
 
 let () =
   match Array.to_list Sys.argv with

@@ -21,7 +21,6 @@ let create rpc servers =
 
 let engine t = Rpc.engine t.rpc
 let topology t = Rpc.topology t.rpc
-let servers t = t.servers
 
 let dir_info t path =
   match Hashtbl.find_opt t.dirs (Fpath.to_string path) with

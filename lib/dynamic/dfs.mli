@@ -19,7 +19,6 @@ val create :
 
 val engine : t -> Weakset_sim.Engine.t
 val topology : t -> Weakset_net.Topology.t
-val servers : t -> Weakset_store.Node_server.t array
 
 (** [mkdir t path ~coordinator ?replicas ?replica_interval ?ghost_policy ()]
     creates a directory whose membership lives on server index

@@ -25,7 +25,6 @@ let create engine topo =
   { engine; topo; signal; cuts = Hashtbl.create 16 }
 
 let signal t = t.signal
-let topology t = t.topo
 
 (* Fault events go to the typed bus; the engine's tracer-mirror sink
    renders them back into the legacy "fault" tracer entries. *)

@@ -14,8 +14,6 @@ val create : Weakset_sim.Engine.t -> Topology.t -> t
 (** Broadcast on every topology change. *)
 val signal : t -> Weakset_sim.Signal.t
 
-val topology : t -> Topology.t
-
 (** {1 Immediate faults} *)
 
 val crash_node : t -> Nodeid.t -> unit

@@ -47,7 +47,6 @@ type t = {
   node : Nodeid.t;
   timeout : float;
   parent0 : int option; (* default enclosing span when a call passes none *)
-  hoard : (int, Svalue.t) Hashtbl.t; (* hoarded object contents, by oid num *)
   lease : Cache.t option; (* coherent lease cache (None: every read is remote) *)
   retry : retry_state option;
 }
@@ -76,7 +75,7 @@ let create ?(timeout = 30.0) ?cache ?retry rpc node =
         { rc; tokens = ref (float_of_int rc.retry_burst); last = ref 0.0 })
       retry
   in
-  { rpc; node; timeout; parent0 = None; hoard = Hashtbl.create 32; lease; retry }
+  { rpc; node; timeout; parent0 = None; lease; retry }
 
 let lease_cache t = t.lease
 
@@ -208,12 +207,10 @@ let call ?parent t dst req =
       Weakset_obs.Metrics.observe_ex h ~time:now ~span (now -. t0);
       r)
 
-(* Fill caches with a fetched value: the unbounded hoard (disconnected
-   operation) always; the bounded lease cache when enabled.  Objects are
-   immutable, so the lease on a value only bounds cache occupancy, not
-   staleness. *)
+(* Fill the lease cache, when enabled, with a fetched value.  Objects
+   are immutable, so the lease on a value only bounds cache occupancy,
+   not staleness. *)
 let remember t oid v =
-  Hashtbl.replace t.hoard (Oid.num oid) v;
   Option.iter (fun c -> Cache.store_obj c oid v ~lease:(Cache.config c).Cache.ttl) t.lease
 
 let remote_fetch ?parent t oid =
@@ -298,15 +295,6 @@ let fetch_many ?parent t oids =
       | Some r -> (oid, r)
       | None -> (oid, Error No_service))
     oids
-
-let cached t oid = Hashtbl.find_opt t.hoard (Oid.num oid)
-
-let fetch_cached ?parent t oid =
-  match cached t oid with Some v -> Ok v | None -> fetch ?parent t oid
-
-let cache_size t = Hashtbl.length t.hoard
-
-let drop_cache t = Hashtbl.reset t.hoard
 
 let remote_dir_read ?parent ~leased t ~from ~set_id =
   let req =

@@ -84,8 +84,8 @@ val with_timeout : t -> float -> t
     (e.g. {!Weak_set} iteration) that does not thread span ids itself:
     an open-loop load harness hands each request a client scoped to the
     request's span, and every [client.*] span (and RPC under it) lands
-    in that request's tree.  The copy shares all mutable state (hoard,
-    lease cache) with [t]. *)
+    in that request's tree.  The copy shares all mutable state (lease
+    cache, retry budget) with [t]. *)
 val with_span_parent : t -> int -> t
 
 (** Fresh process-unique lock-owner token. *)
@@ -95,7 +95,7 @@ val fresh_owner : unit -> int
 
 (** [fetch t oid] retrieves the contents — from the lease cache when it
     holds them, otherwise from the home node; successful fetches fill
-    both the lease cache and the unbounded hoard.  [parent] (here and on
+    the lease cache when there is one.  [parent] (here and on
     every other operation) is an enclosing span id: each operation runs
     in its own [client.*] span, parented under it, and the span in turn
     parents the RPC — so a whole request reconstructs as one trace
@@ -113,17 +113,6 @@ val fetch_many :
     lease (bumping its LRU position), with no network and no recorded
     miss.  [None] when the client has no lease cache. *)
 val peek : t -> Oid.t -> Svalue.t option
-
-(** Cache-first fetch: serve hoarded contents without touching the
-    network (possibly stale), fall back to {!fetch}.  This is what lets a
-    disconnected mobile client keep answering queries (paper §1.1). *)
-val fetch_cached : ?parent:int -> t -> Oid.t -> (Svalue.t, error) result
-
-(** The hoarded copy, if any (no network). *)
-val cached : t -> Oid.t -> Svalue.t option
-
-val cache_size : t -> int
-val drop_cache : t -> unit
 
 (** {1 Directory operations} *)
 

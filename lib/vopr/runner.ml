@@ -428,21 +428,19 @@ let run_plan ~record ~step_cap plan =
 
 let execute ?(step_cap = default_step_cap) plan = fst (run_plan ~record:false ~step_cap plan)
 
-(* Arm the three planted-bug flags for [f] and restore them afterwards. *)
-let with_planted ~grow_only ~cache ~spec f =
-  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
-  let cflag = Cache.planted_inval_drop in
-  let sflag = Weakset_spec.Visibility.planted_axiom_mutation in
-  let saved = !flag and csaved = !cflag and ssaved = !sflag in
-  flag := grow_only;
-  cflag := cache;
-  sflag := spec;
-  Fun.protect
-    ~finally:(fun () ->
-      flag := saved;
-      cflag := csaved;
-      sflag := ssaved)
-    f
+let with_planted ?grow_only ?cache ?spec ?view_change ?shed f =
+  let flags =
+    [
+      (Weakset_core.Impl_common.planted_grow_only_drop, grow_only);
+      (Cache.planted_inval_drop, cache);
+      (Weakset_spec.Visibility.planted_axiom_mutation, spec);
+      (Weakset_repl.Group.planted_view_change_drop, view_change);
+      (Node_server.planted_shed_after_apply, shed);
+    ]
+  in
+  let saved = List.map (fun (flag, _) -> !flag) flags in
+  List.iter (fun (flag, armed) -> Option.iter (( := ) flag) armed) flags;
+  Fun.protect ~finally:(fun () -> List.iter2 (fun (flag, _) v -> flag := v) flags saved) f
 
 (* Runs are deterministic, so the seed is the black box: re-execute the
    plan under the run's own step cap and planted flags with the recorder
@@ -478,6 +476,7 @@ type bundle = {
   b_planted : bool;
   b_planted_cache : bool;
   b_planted_spec : bool;
+  b_step_cap : int;
   b_digest : string;
   b_events : int;
   b_issues : Oracle.issue list;
@@ -490,6 +489,7 @@ let bundle_of_result r =
     b_planted = r.planted;
     b_planted_cache = r.planted_cache;
     b_planted_spec = r.planted_spec;
+    b_step_cap = r.step_cap;
     b_digest = r.digest;
     b_events = r.events;
     b_issues = r.issues;
@@ -501,9 +501,9 @@ let bundle_of_result r =
    JSON reader. *)
 let bundle_to_json b =
   Printf.sprintf
-    {|{"version":1,"planted_bug":%b,"planted_cache_bug":%b,"planted_spec_bug":%b,"plan":%s,"digest":"%s","events":%d,"issues":[%s],"blackbox":[%s]}|}
-    b.b_planted b.b_planted_cache b.b_planted_spec (Gen.plan_to_json b.b_plan) b.b_digest
-    b.b_events
+    {|{"version":1,"planted_bug":%b,"planted_cache_bug":%b,"planted_spec_bug":%b,"step_cap":%d,"plan":%s,"digest":"%s","events":%d,"issues":[%s],"blackbox":[%s]}|}
+    b.b_planted b.b_planted_cache b.b_planted_spec b.b_step_cap (Gen.plan_to_json b.b_plan)
+    b.b_digest b.b_events
     (String.concat "," (List.map Oracle.issue_to_json b.b_issues))
     (String.concat ","
        (List.map
@@ -555,6 +555,12 @@ let bundle_of_string s =
       let planted_spec =
         match Json.member "planted_spec_bug" j with Some (Json.Bool b) -> b | _ -> false
       in
+      (* Absent in bundles written before the cap was recorded: those runs
+         could only be replayed under the default cap. *)
+      let step_cap =
+        Option.value (Option.bind (Json.member "step_cap" j) Json.to_int)
+          ~default:default_step_cap
+      in
       (* Absent in bundles written before the flight recorder existed. *)
       let blackbox =
         match Json.member "blackbox" j with
@@ -567,6 +573,7 @@ let bundle_of_string s =
           b_planted = planted;
           b_planted_cache = planted_cache;
           b_planted_spec = planted_spec;
+          b_step_cap = step_cap;
           b_digest = digest;
           b_events = events;
           b_issues = issues;
@@ -589,13 +596,13 @@ type replay_outcome =
   | Digest_mismatch of { got : result; expected : string }
   | Verdict_mismatch of result
 
-(* The bundle records whether each planted bug was armed when the run
-   started, so a replay in a fresh process reproduces the same binary
-   behaviour. *)
-let replay ?step_cap b =
+(* The bundle records the step cap and whether each planted bug was
+   armed when the run started, so a replay in a fresh process reproduces
+   the same binary behaviour. *)
+let replay b =
   let got =
     with_planted ~grow_only:b.b_planted ~cache:b.b_planted_cache ~spec:b.b_planted_spec
-      (fun () -> execute ?step_cap b.b_plan)
+      (fun () -> execute ~step_cap:b.b_step_cap b.b_plan)
   in
   if got.digest <> b.b_digest || got.events <> b.b_events then
     Digest_mismatch { got; expected = b.b_digest }

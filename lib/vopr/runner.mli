@@ -46,6 +46,24 @@ val default_step_cap : int
     are now, with no flight recorder attached. *)
 val execute : ?step_cap:int -> Gen.plan -> result
 
+(** [with_planted ?grow_only ?cache ?spec ?view_change ?shed f] runs
+    [f] with each given planted-bug flag set to the given value and
+    restores all five flags afterwards, also when [f] raises.  A flag
+    not given keeps its current value during [f].  The flags are
+    {!Weakset_core.Impl_common.planted_grow_only_drop} ([grow_only]),
+    {!Weakset_store.Cache.planted_inval_drop} ([cache]),
+    {!Weakset_spec.Visibility.planted_axiom_mutation} ([spec]),
+    {!Weakset_repl.Group.planted_view_change_drop} ([view_change]) and
+    {!Weakset_store.Node_server.planted_shed_after_apply} ([shed]). *)
+val with_planted :
+  ?grow_only:bool ->
+  ?cache:bool ->
+  ?spec:bool ->
+  ?view_change:bool ->
+  ?shed:bool ->
+  (unit -> 'a) ->
+  'a
+
 (** [blackbox r] is the flight-recorder dumps of run [r] (spec violations
     and node crashes mid-run, plus one post-run oracle verdict when the
     run failed), oldest first.  It re-executes [r.plan] under [r]'s step
@@ -73,6 +91,9 @@ type bundle = {
   b_planted_spec : bool;
       (** likewise for {!Weakset_spec.Visibility.planted_axiom_mutation}
           (absent in older bundles; parses as [false]) *)
+  b_step_cap : int;
+      (** the step cap the recorded run executed under; {!replay} uses
+          it (absent in older bundles; parses as {!default_step_cap}) *)
   b_digest : string;  (** expected trace digest of replaying [b_plan] *)
   b_events : int;
   b_issues : Oracle.issue list;  (** the recorded oracle verdict *)
@@ -93,12 +114,13 @@ val bundle_of_string : string -> (bundle, string) Stdlib.result
 val write_bundle : path:string -> bundle -> unit
 val read_bundle : path:string -> (bundle, string) Stdlib.result
 
-(** Re-execute a bundle's plan and compare against its recorded digest
-    and verdict.  [`Reproduced] means digest, event count and failure
-    categories all match. *)
+(** Re-execute a bundle's plan under its recorded step cap and planted
+    flags and compare against its recorded digest and verdict.
+    [`Reproduced] means digest, event count and failure categories all
+    match. *)
 type replay_outcome =
   | Reproduced of result
   | Digest_mismatch of { got : result; expected : string }
   | Verdict_mismatch of result
 
-val replay : ?step_cap:int -> bundle -> replay_outcome
+val replay : bundle -> replay_outcome

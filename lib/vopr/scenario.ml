@@ -312,15 +312,7 @@ type outcome = {
 let passed o = o.o_deterministic && o.o_issues = []
 
 let run ?step_cap ?(planted = false) ?(planted_shed = false) scn =
-  let saved = !Group.planted_view_change_drop in
-  let saved_shed = !Node_server.planted_shed_after_apply in
-  Group.planted_view_change_drop := planted;
-  Node_server.planted_shed_after_apply := planted_shed;
-  Fun.protect
-    ~finally:(fun () ->
-      Group.planted_view_change_drop := saved;
-      Node_server.planted_shed_after_apply := saved_shed)
-    (fun () ->
+  Runner.with_planted ~view_change:planted ~shed:planted_shed (fun () ->
       (* Run the whole virtual history twice: a table entry only counts
          as passing if the replay is byte-identical. *)
       let a = execute ?step_cap scn in

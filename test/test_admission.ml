@@ -275,11 +275,7 @@ let test_backoff_deterministic () =
    the same schedule leaks the add — proving this test (and the VOPR
    shed-divergence oracle built on the same premise) can convict. *)
 let shed_add_run ~planted =
-  let saved = !Node_server.planted_shed_after_apply in
-  Fun.protect
-    ~finally:(fun () -> Node_server.planted_shed_after_apply := saved)
-    (fun () ->
-      Node_server.planted_shed_after_apply := planted;
+  Weakset_vopr.Runner.with_planted ~shed:planted (fun () ->
       let cl = make_cluster ~host:false () in
       let sref =
         Weak_set.provision ~set_id ~coordinator_server:cl.servers.(0)

@@ -426,100 +426,6 @@ let test_workload_mutator_changes_membership () =
   let (_ : int) = Engine.run ~until:200.0 w.eng in
   check_bool "mutations happened" true (Version.compare (Directory.version truth) v0 > 0)
 
-(* ------------------------------------------------------------------ *)
-(* Disconnected operation                                             *)
-(* ------------------------------------------------------------------ *)
-
-let make_mobile_world () =
-  let eng = Engine.create () in
-  let topo = Topology.create () in
-  let nodes = Topology.clique topo 5 ~latency:1.0 in
-  let rpc : Node_server.rpc = Rpc.create eng topo in
-  let servers = Array.map (fun node -> Node_server.create rpc node) nodes in
-  let fault = Fault.create eng topo in
-  let dfs = Dfs.create rpc servers in
-  Dfs.mkdir dfs dir ~coordinator:1 ();
-  for i = 1 to 6 do
-    ignore
-      (Dfs.create_file dfs dir ~name:(Printf.sprintf "doc-%d" i) ~home:(1 + (i mod 4))
-         (Printf.sprintf "contents of doc %d" i))
-  done;
-  (eng, topo, nodes, fault, dfs)
-
-let test_disconnect_hoard_then_query_offline () =
-  let eng, _topo, _nodes, fault, dfs = make_mobile_world () in
-  let session = Disconnect.setup dfs ~fault ~client_ix:0 dir ~sync_interval:1_000.0 in
-  let result = ref None in
-  Engine.spawn eng (fun () ->
-      let hoarded = Disconnect.hoard session in
-      Disconnect.disconnect session;
-      (* Offline: local query answers from replica membership + cache. *)
-      let hits, misses = Disconnect.local_query session () in
-      (* And the network really is gone. *)
-      let net =
-        Client.fetch (Disconnect.client session)
-          (Option.get (Dfs.lookup dfs dir ~name:"doc-1"))
-      in
-      result := Some (hoarded, List.length hits, misses, net));
-  let (_ : int) = Engine.run ~until:10_000.0 eng in
-  (match Engine.crashes eng with
-  | [] -> ()
-  | c :: _ -> Alcotest.failf "crash: %s" (Printexc.to_string c.Engine.crash_exn));
-  match !result with
-  | Some (hoarded, hits, misses, net) ->
-      check_int "hoarded all" 6 hoarded;
-      check_int "all answered locally" 6 hits;
-      check_int "no misses" 0 misses;
-      (match net with
-      | Error Client.Unreachable -> ()
-      | _ -> Alcotest.fail "network fetch must fail while disconnected")
-  | None -> Alcotest.fail "did not finish"
-
-let test_disconnect_partial_hoard_counts_misses () =
-  let eng, _topo, _nodes, fault, dfs = make_mobile_world () in
-  let session = Disconnect.setup dfs ~fault ~client_ix:0 dir ~sync_interval:1_000.0 in
-  let result = ref None in
-  Engine.spawn eng (fun () ->
-      (* Sync membership but hoard nothing. *)
-      ignore (Disconnect.resync session);
-      Disconnect.disconnect session;
-      let hits, misses = Disconnect.local_query session () in
-      result := Some (List.length hits, misses));
-  let (_ : int) = Engine.run ~until:10_000.0 eng in
-  match !result with
-  | Some (hits, misses) ->
-      check_int "nothing hoarded" 0 hits;
-      check_int "all misses" 6 misses
-  | None -> Alcotest.fail "did not finish"
-
-let test_disconnect_staleness_and_reintegration () =
-  let eng, _topo, _nodes, fault, dfs = make_mobile_world () in
-  let session = Disconnect.setup dfs ~fault ~client_ix:0 dir ~sync_interval:1_000.0 in
-  let offline_view = ref 0 and online_view = ref 0 in
-  Engine.spawn eng (fun () ->
-      ignore (Disconnect.hoard session);
-      Disconnect.disconnect session;
-      check_bool "disconnected" false (Disconnect.connected session);
-      (* The world changes while we are away. *)
-      ignore (Dfs.create_file dfs dir ~name:"doc-new" ~home:2 "new content");
-      Engine.sleep eng 50.0;
-      let hits, _ = Disconnect.local_query session () in
-      offline_view := List.length hits;
-      (* Reintegrate: reconnect and pull the membership forward. *)
-      Disconnect.reconnect session;
-      check_bool "connected again" true (Disconnect.connected session);
-      check_bool "resync works" true (Disconnect.resync session);
-      ignore (Disconnect.hoard session);
-      let hits, misses = Disconnect.local_query session () in
-      check_int "no misses after re-hoard" 0 misses;
-      online_view := List.length hits);
-  let (_ : int) = Engine.run ~until:10_000.0 eng in
-  (match Engine.crashes eng with
-  | [] -> ()
-  | c :: _ -> Alcotest.failf "crash: %s" (Printexc.to_string c.Engine.crash_exn));
-  check_int "stale view while offline" 6 !offline_view;
-  check_int "fresh view after reintegration" 7 !online_view
-
 let () =
   Alcotest.run "weakset_dynamic"
     [
@@ -558,15 +464,6 @@ let () =
           Alcotest.test_case "strict fails, weak degrades" `Quick
             test_ls_strict_fails_weak_degrades_under_partition;
           Alcotest.test_case "weak first entry earlier" `Quick test_ls_weak_first_entry_earlier;
-        ] );
-      ( "disconnect",
-        [
-          Alcotest.test_case "hoard then query offline" `Quick
-            test_disconnect_hoard_then_query_offline;
-          Alcotest.test_case "partial hoard counts misses" `Quick
-            test_disconnect_partial_hoard_counts_misses;
-          Alcotest.test_case "staleness and reintegration" `Quick
-            test_disconnect_staleness_and_reintegration;
         ] );
       ( "workload",
         [

@@ -186,11 +186,8 @@ let test_hand_corpus () =
 let test_planted_breaks_equivalence () =
   let comp = build ~s0:[ 1 ] [ Yield 1; Ret ] in
   let legacy = Figures_legacy.check Figures.fig1 comp in
-  let flag = Visibility.planted_axiom_mutation in
-  let saved = !flag in
-  flag := true;
   let armed =
-    Fun.protect ~finally:(fun () -> flag := saved) (fun () -> Figures.check Figures.fig1 comp)
+    Weakset_vopr.Runner.with_planted ~spec:true (fun () -> Figures.check Figures.fig1 comp)
   in
   Alcotest.(check bool) "armed axiom flip diverges from legacy" false (verdict_eq legacy armed);
   Alcotest.(check bool)

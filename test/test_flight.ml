@@ -384,30 +384,21 @@ let test_slo_alert_triggers_flight_debounced () =
 (* First seed in the CI smoke range whose planted-bug run fails. *)
 let failing_planted =
   lazy
-    (let flag = Weakset_core.Impl_common.planted_grow_only_drop in
-     let rec scan seed =
+    (let rec scan seed =
        if seed >= 33L then Alcotest.fail "no failing planted-bug seed in 0..32"
        else
          let r = Runner.execute (Gen.generate seed) in
          if r.Runner.issues <> [] then (seed, r) else scan (Int64.add seed 1L)
      in
-     let saved = !flag in
-     flag := true;
-     Fun.protect ~finally:(fun () -> flag := saved) (fun () -> scan 0L))
+     Runner.with_planted ~grow_only:true (fun () -> scan 0L))
 
 let test_vopr_blackbox_end_to_end () =
-  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
   let seed, r = Lazy.force failing_planted in
   (* The planted flag is off again: the replay must arm it from [r]. *)
   let dumps = Runner.blackbox r in
   checkb "failing run carries dumps" true (dumps <> []);
   (* Byte-identical across replays of the same seed. *)
-  let saved = !flag in
-  flag := true;
-  let r2 =
-    Fun.protect ~finally:(fun () -> flag := saved) (fun () ->
-        Runner.execute (Gen.generate seed))
-  in
+  let r2 = Runner.with_planted ~grow_only:true (fun () -> Runner.execute (Gen.generate seed)) in
   check
     (Alcotest.list Alcotest.string)
     "dumps byte-identical across replays"
@@ -451,15 +442,14 @@ let test_vopr_blackbox_replay_guard () =
   (match Runner.blackbox { r with Runner.digest = "0" } with
   | exception (Failure _ | Invalid_argument _) -> ()
   | _ -> Alcotest.fail "blackbox accepted a diverging replay");
-  let json () = List.map (fun d -> d.Flight.d_json) (Runner.blackbox r) in
-  let saved = !flag in
-  flag := true;
-  let armed = Fun.protect ~finally:(fun () -> flag := saved) json in
-  flag := false;
-  let disarmed = Fun.protect ~finally:(fun () -> flag := saved) json in
-  check (Alcotest.list Alcotest.string) "dumps independent of the flag at read time" armed
-    disarmed;
-  checkb "flag restored after blackbox" saved !flag
+  let json armed =
+    Runner.with_planted ~grow_only:armed (fun () ->
+        let dumps = List.map (fun d -> d.Flight.d_json) (Runner.blackbox r) in
+        checkb "flag restored after blackbox" armed !flag;
+        dumps)
+  in
+  check (Alcotest.list Alcotest.string) "dumps independent of the flag at read time" (json true)
+    (json false)
 
 let () =
   Alcotest.run "weakset_flight"

@@ -668,37 +668,6 @@ let test_nearest_dir_host () =
   Topology.set_node_up topo far false;
   check_bool "none reachable" true (Client.nearest_dir_host client sref = None)
 
-let test_client_cache_hoards_fetches () =
-  let cl = make_cluster () in
-  let oid = Oid.make ~num:1 ~home:cl.nodes.(1) in
-  Node_server.put_object cl.servers.(1) oid (Svalue.make "payload");
-  let client = Client.create cl.rpc cl.nodes.(0) in
-  in_fiber cl (fun () ->
-      check_int "cache empty" 0 (Client.cache_size client);
-      (match Client.fetch client oid with Ok _ -> () | Error _ -> Alcotest.fail "fetch");
-      check_int "cached after fetch" 1 (Client.cache_size client);
-      check_bool "cached lookup" true (Client.cached client oid <> None);
-      (* Now cut the network: fetch_cached still answers. *)
-      Topology.set_node_up cl.topo cl.nodes.(1) false;
-      (match Client.fetch_cached client oid with
-      | Ok v -> Alcotest.(check string) "stale content served" "payload" (Svalue.content v)
-      | Error _ -> Alcotest.fail "cache should serve");
-      (* And plain fetch fails. *)
-      match Client.fetch client oid with
-      | Error Client.Unreachable -> ()
-      | _ -> Alcotest.fail "network fetch must fail")
-
-let test_client_cache_miss_goes_to_network () =
-  let cl = make_cluster () in
-  let oid = Oid.make ~num:1 ~home:cl.nodes.(1) in
-  Node_server.put_object cl.servers.(1) oid (Svalue.make "x");
-  let client = Client.create cl.rpc cl.nodes.(0) in
-  in_fiber cl (fun () ->
-      (match Client.fetch_cached client oid with Ok _ -> () | Error _ -> Alcotest.fail "fetch");
-      check_int "filled via fetch_cached" 1 (Client.cache_size client);
-      Client.drop_cache client;
-      check_int "dropped" 0 (Client.cache_size client))
-
 let test_client_owner_tokens_unique () =
   let a = Client.fresh_owner () in
   let b = Client.fresh_owner () in
@@ -812,8 +781,5 @@ let () =
           Alcotest.test_case "reachable oids" `Quick test_reachable_oids;
           Alcotest.test_case "nearest dir host" `Quick test_nearest_dir_host;
           Alcotest.test_case "owner tokens unique" `Quick test_client_owner_tokens_unique;
-          Alcotest.test_case "cache hoards fetches" `Quick test_client_cache_hoards_fetches;
-          Alcotest.test_case "cache miss goes to network" `Quick
-            test_client_cache_miss_goes_to_network;
         ] );
     ]

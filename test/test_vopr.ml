@@ -19,24 +19,6 @@ let seeds first count = List.init count (fun i -> Int64.of_int (first + i))
    within at most 64 seeds. *)
 let mutation_range = seeds 0 64
 
-let with_planted_bug armed f =
-  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
-  let saved = !flag in
-  flag := armed;
-  Fun.protect ~finally:(fun () -> flag := saved) f
-
-let with_planted_cache_bug armed f =
-  let flag = Weakset_store.Cache.planted_inval_drop in
-  let saved = !flag in
-  flag := armed;
-  Fun.protect ~finally:(fun () -> flag := saved) f
-
-let with_planted_spec_bug armed f =
-  let flag = Weakset_spec.Visibility.planted_axiom_mutation in
-  let saved = !flag in
-  flag := armed;
-  Fun.protect ~finally:(fun () -> flag := saved) f
-
 (* ------------------------------------------------------------------ *)
 (* Generator                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -122,12 +104,34 @@ let test_replay_reproduces () =
   | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch on replay"
   | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch on replay"
 
+(* A run cut short by a small step cap fails as a livelock; its bundle
+   records the cap, so the replay runs under the same cap with none
+   given and reproduces the run instead of simulating past it. *)
+let test_replay_keeps_step_cap () =
+  let step_cap = 400 in
+  let result = Runner.execute ~step_cap (Gen.generate 1L) in
+  check_bool "the cap cut the run short" true
+    (List.exists (fun i -> Oracle.category i = "steps-exhausted") result.Runner.issues);
+  let json = Runner.bundle_to_json (Runner.bundle_of_result result) in
+  match Runner.bundle_of_string json with
+  | Error e -> Alcotest.failf "bundle parse error: %s" e
+  | Ok b -> (
+      check_int "bundle records the cap" step_cap b.Runner.b_step_cap;
+      match Runner.replay b with
+      | Runner.Reproduced r ->
+          check_string "replay digest" result.Runner.digest r.Runner.digest;
+          check_int "replay events" result.Runner.events r.Runner.events
+      | Runner.Digest_mismatch { got; _ } ->
+          Alcotest.failf "digest mismatch on replay: %d events expected, %d replayed"
+            result.Runner.events got.Runner.events
+      | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch on replay")
+
 (* ------------------------------------------------------------------ *)
 (* Mutation test                                                      *)
 (* ------------------------------------------------------------------ *)
 
 let test_swarm_clean_without_bug () =
-  with_planted_bug false (fun () ->
+  Runner.with_planted ~grow_only:false (fun () ->
       List.iter
         (fun (seed, r) ->
           if r.Runner.issues <> [] then
@@ -136,7 +140,7 @@ let test_swarm_clean_without_bug () =
         (Runner.sweep mutation_range))
 
 let test_swarm_finds_shrinks_and_replays_planted_bug () =
-  with_planted_bug true (fun () ->
+  Runner.with_planted ~grow_only:true (fun () ->
       let failures =
         List.filter (fun (_, r) -> r.Runner.issues <> []) (Runner.sweep mutation_range)
       in
@@ -167,7 +171,7 @@ let test_swarm_finds_shrinks_and_replays_planted_bug () =
    the same 64-seed budget, and the failure must shrink and replay like
    any other. *)
 let test_swarm_finds_shrinks_and_replays_planted_cache_bug () =
-  with_planted_cache_bug true (fun () ->
+  Runner.with_planted ~cache:true (fun () ->
       let stale issues =
         List.exists (fun i -> Oracle.category i = "stale-beyond-lease") issues
       in
@@ -200,7 +204,7 @@ let test_swarm_finds_shrinks_and_replays_planted_cache_bug () =
    shrinking and replaying like any other failure.  This is what makes
    the one-engine refactor safe: a single mutated axiom cannot hide. *)
 let test_swarm_finds_shrinks_and_replays_planted_spec_bug () =
-  with_planted_spec_bug true (fun () ->
+  Runner.with_planted ~spec:true (fun () ->
       let spec_viol issues =
         List.exists (fun i -> Oracle.category i = "spec-violation") issues
       in
@@ -381,6 +385,7 @@ let () =
           Alcotest.test_case "digest-stable re-execution" `Quick test_execute_digest_stable;
           Alcotest.test_case "bundle JSON roundtrip" `Quick test_bundle_roundtrip;
           Alcotest.test_case "replay reproduces" `Quick test_replay_reproduces;
+          Alcotest.test_case "replay keeps the step cap" `Quick test_replay_keeps_step_cap;
         ] );
       ( "mutation",
         [
