@@ -1,9 +1,9 @@
 # One-command tier-1 verification: build + tests (including the trace
 # determinism suite in test/test_obs.ml) + formatting check.
 
-.PHONY: check build test fmt fmt-fix bench bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke perf-smoke clean
+.PHONY: check build test fmt fmt-fix design-map bench bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke perf-smoke clean
 
-check: build test fmt bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke perf-smoke
+check: build test fmt design-map bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke perf-smoke
 
 build:
 	dune build @all
@@ -25,6 +25,24 @@ fmt-fix:
 
 bench:
 	dune exec bench/main.exe
+
+# DESIGN.md section 5 is the module map: it must name every lib/*/*.ml,
+# and every .ml it lists under a lib/ directory must exist.
+design-map:
+	@ls lib/*/*.ml | awk ' \
+	  NR == FNR { exists[$$0] = 1; next } \
+	  /^## 5\./ { on = 1; next } \
+	  /^## / { on = 0 } \
+	  on && /^[a-z]+\// { dir = $$1 } \
+	  on && dir ~ /^lib\// { \
+	    s = $$0; \
+	    while (match(s, /[a-z0-9_]+\.ml([^a-z]|$$)/)) { \
+	      m = substr(s, RSTART, RLENGTH); sub(/\.ml.*$$/, ".ml", m); \
+	      named[dir m] = 1; s = substr(s, RSTART + RLENGTH) } } \
+	  END { \
+	    for (f in exists) if (!(f in named)) { print "design-map: DESIGN.md section 5 omits " f; bad = 1 } \
+	    for (f in named) if (!(f in exists)) { print "design-map: DESIGN.md section 5 names missing " f; bad = 1 } \
+	    exit bad }' - DESIGN.md
 
 # The regression gate: rerun the seeded baseline suite (deterministic,
 # well under a second), compare it with the committed BENCH_baseline.json

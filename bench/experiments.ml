@@ -56,9 +56,9 @@ let figures () =
         scenario;
         string_of_int run.yields;
         outcome_cell run.outcome;
-        spec.spec_name ^ ": " ^ check_inst run spec;
+        spec.Weakset_spec.Visibility.name ^ ": " ^ check_inst run spec;
         (match alt_spec with
-        | Some s -> s.spec_name ^ ": " ^ check_inst run s
+        | Some s -> s.Weakset_spec.Visibility.name ^ ": " ^ check_inst run s
         | None -> "");
       ]
       :: !rows
@@ -558,7 +558,7 @@ let e12_five_semantics () =
                   string_of_int sent;
                   string_of_int st.stale_yields;
                   outcome_cell r.outcome;
-                  spec.Weakset_spec.Figures.spec_name ^ ": "
+                  spec.Weakset_spec.Visibility.name ^ ": "
                   ^ Option.fold ~none:"-" ~some:Harness.verdict_cell verdict;
                 ])
               named_semantics)

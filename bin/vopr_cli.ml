@@ -152,9 +152,6 @@ let parse_run_args args =
 
 let cmd_run args =
   let o = parse_run_args args in
-  Weakset_core.Impl_common.planted_grow_only_drop := o.planted_bug;
-  Weakset_store.Cache.planted_inval_drop := o.planted_cache_bug;
-  Weakset_spec.Visibility.planted_axiom_mutation := o.planted_spec_bug;
   let failures = ref 0 in
   let progress seed (r : Runner.result) =
     if r.issues = [] then begin
@@ -203,7 +200,10 @@ let cmd_run args =
         o.blackbox_dir
     end
   in
-  let results = Runner.sweep ?step_cap:o.step_cap ~progress o.seeds in
+  let results =
+    Runner.with_planted ~grow_only:o.planted_bug ~cache:o.planted_cache_bug
+      ~spec:o.planted_spec_bug (fun () -> Runner.sweep ?step_cap:o.step_cap ~progress o.seeds)
+  in
   Printf.printf "vopr: %d seed(s), %d failure(s)\n%!" (List.length results) !failures;
   exit (if !failures > 0 then 1 else 0)
 

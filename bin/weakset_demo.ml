@@ -43,7 +43,7 @@ let run_specs () =
   List.iter
     (fun (name, sem) ->
       let spec = Semantics.spec_of sem in
-      Printf.printf "  %-18s %-22s %s\n" name spec.Weakset_spec.Figures.paper_figure
+      Printf.printf "  %-18s %-22s %s\n" name spec.Weakset_spec.Visibility.paper_figure
         (Format.asprintf "%a" Semantics.pp sem))
     Semantics.all;
   Printf.printf "\nGarcia-Molina & Wiederhold classification (paper §4):\n\n";

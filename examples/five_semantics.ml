@@ -10,7 +10,7 @@
    bypassed.
 
    Every run is judged by the one parametric visibility checker
-   (Weakset_spec.Visibility, via the Figures config table), configured
+   (Weakset_spec.Visibility, given the Figures row), configured
    for that design point.  The side-by-side output shows exactly what
    each point trades: whether the add is observed, whether the removed
    member is still yielded, and what the spec says about it.

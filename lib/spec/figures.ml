@@ -1,114 +1,102 @@
-type vintage = First_vintage | Current_vintage | Snapshot_vintage
-
-type failure_mode = Visibility.failure_mode = No_failures | Pessimistic | Optimistic
-
-(* Scope of the type constraint (paper §3.1, §3.3): the figures as printed
-   constrain every pair of states in the computation; the discussed
-   relaxations "allow mutations between different uses of the iterator, but
-   not between invocations of any one use" - i.e. only states between the
-   first-state and the last-state are constrained. *)
-type constraint_scope = Whole_computation | During_run
-
-type spec = {
-  spec_name : string;
-  paper_figure : string;
-  description : string;
-  constraint_ : Constraint_clause.t;
-  constraint_scope : constraint_scope;
-  vintage : vintage;
-  failure_mode : failure_mode;
-  membership_window : bool;
-}
+type spec = Visibility.config
 
 let fig1 =
-  {
-    spec_name = "immutable";
-    paper_figure = "Figure 1";
-    description = "immutable set, failures ignored";
-    constraint_ = Constraint_clause.immutable;
-    constraint_scope = Whole_computation;
-    vintage = First_vintage;
-    failure_mode = No_failures;
-    membership_window = false;
-  }
+  Visibility.
+    {
+      name = "immutable";
+      paper_figure = "Figure 1";
+      description = "immutable set, failures ignored";
+      constraint_ = Constraint_clause.immutable;
+      scope = All_pairs;
+      anchor = First_state;
+      failure = No_failures;
+      window = false;
+    }
 
 let fig3 =
-  {
-    spec_name = "immutable-failures";
-    paper_figure = "Figure 3";
-    description = "immutable set with failures, pessimistic";
-    constraint_ = Constraint_clause.immutable;
-    constraint_scope = Whole_computation;
-    vintage = First_vintage;
-    failure_mode = Pessimistic;
-    membership_window = false;
-  }
+  Visibility.
+    {
+      name = "immutable-failures";
+      paper_figure = "Figure 3";
+      description = "immutable set with failures, pessimistic";
+      constraint_ = Constraint_clause.immutable;
+      scope = All_pairs;
+      anchor = First_state;
+      failure = Pessimistic;
+      window = false;
+    }
 
 let fig4 =
-  {
-    spec_name = "snapshot";
-    paper_figure = "Figure 4";
-    description = "mutable set, loss of mutations after the first call";
-    constraint_ = Constraint_clause.unconstrained;
-    constraint_scope = Whole_computation;
-    vintage = First_vintage;
-    failure_mode = Pessimistic;
-    membership_window = false;
-  }
+  Visibility.
+    {
+      name = "snapshot";
+      paper_figure = "Figure 4";
+      description = "mutable set, loss of mutations after the first call";
+      constraint_ = Constraint_clause.unconstrained;
+      scope = All_pairs;
+      anchor = First_state;
+      failure = Pessimistic;
+      window = false;
+    }
 
 let fig5 =
-  {
-    spec_name = "grow-only";
-    paper_figure = "Figure 5";
-    description = "growing-only set, pessimistic failure handling";
-    constraint_ = Constraint_clause.grow_only;
-    constraint_scope = Whole_computation;
-    vintage = Current_vintage;
-    failure_mode = Pessimistic;
-    membership_window = false;
-  }
+  Visibility.
+    {
+      name = "grow-only";
+      paper_figure = "Figure 5";
+      description = "growing-only set, pessimistic failure handling";
+      constraint_ = Constraint_clause.grow_only;
+      scope = All_pairs;
+      anchor = Pre_state;
+      failure = Pessimistic;
+      window = false;
+    }
 
 let fig6 =
-  {
-    spec_name = "optimistic";
-    paper_figure = "Figure 6";
-    description = "growing and shrinking set, optimistic failure handling";
-    constraint_ = Constraint_clause.unconstrained;
-    constraint_scope = Whole_computation;
-    vintage = Current_vintage;
-    failure_mode = Optimistic;
-    membership_window = false;
-  }
+  Visibility.
+    {
+      name = "optimistic";
+      paper_figure = "Figure 6";
+      description = "growing and shrinking set, optimistic failure handling";
+      constraint_ = Constraint_clause.unconstrained;
+      scope = All_pairs;
+      anchor = Pre_state;
+      failure = Optimistic;
+      window = false;
+    }
 
 let fig6_window =
-  {
-    fig6 with
-    spec_name = "optimistic-window";
-    paper_figure = "Figure 6 (§3.4 prose)";
-    description = "optimistic; yields may come from any state since the first call";
-    membership_window = true;
-  }
+  Visibility.
+    {
+      fig6 with
+      name = "optimistic-window";
+      paper_figure = "Figure 6 (§3.4 prose)";
+      description = "optimistic; yields may come from any state since the first call";
+      window = true;
+    }
 
 (* The §3.1 relaxation of Figure 3: "mutations may occur between different
    uses of the iterator, but not between invocations of any one use". *)
 let fig3_relaxed =
-  {
-    fig3 with
-    spec_name = "immutable-per-run";
-    paper_figure = "Figure 3 (§3.1 relaxed)";
-    description = "immutable only between first and last state of one run";
-    constraint_scope = During_run;
-  }
+  Visibility.
+    {
+      fig3 with
+      name = "immutable-per-run";
+      paper_figure = "Figure 3 (§3.1 relaxed)";
+      description = "immutable only between first and last state of one run";
+      scope = During_run;
+    }
 
 (* The matching §3.3 relaxation of Figure 5. *)
 let fig5_relaxed =
-  {
-    fig5 with
-    spec_name = "grow-only-per-run";
-    paper_figure = "Figure 5 (§3.3 relaxed)";
-    description = "growing-only between first and last state of one run";
-    constraint_scope = During_run;
-  }
+  Visibility.
+    {
+      fig5 with
+      name = "grow-only-per-run";
+      paper_figure = "Figure 5 (§3.3 relaxed)";
+      description = "growing-only between first and last state of one run";
+      scope = During_run;
+    }
 
 (* The fifth design point (ROADMAP item 5): a linearizable snapshot
    iterator per arXiv:1705.08885.  Snapshot visibility with total
@@ -117,16 +105,17 @@ let fig5_relaxed =
    are impossible (the implementation pins a directory version and
    blocks until every pinned member is fetchable again). *)
 let lin =
-  {
-    spec_name = "lin";
-    paper_figure = "arXiv:1705.08885";
-    description = "linearizable snapshot iterator; never fails";
-    constraint_ = Constraint_clause.unconstrained;
-    constraint_scope = Whole_computation;
-    vintage = Snapshot_vintage;
-    failure_mode = No_failures;
-    membership_window = false;
-  }
+  Visibility.
+    {
+      name = "lin";
+      paper_figure = "arXiv:1705.08885";
+      description = "linearizable snapshot iterator; never fails";
+      constraint_ = Constraint_clause.unconstrained;
+      scope = All_pairs;
+      anchor = Snapshot;
+      failure = No_failures;
+      window = false;
+    }
 
 let all_specs = [ fig1; fig3; fig3_relaxed; fig4; fig5; fig5_relaxed; fig6; fig6_window; lin ]
 
@@ -141,24 +130,4 @@ type verdict = Visibility.verdict = Conforms | Violates of violation list
 let verdict_ok = Visibility.verdict_ok
 let pp_violation = Visibility.pp_violation
 let pp_verdict = Visibility.pp_verdict
-
-(* Each spec is one point of the visibility/arbitration design space:
-   the whole checker is a table lookup into the parametric engine. *)
-let config_of spec =
-  {
-    Visibility.name = spec.spec_name;
-    constraint_ = spec.constraint_;
-    scope =
-      (match spec.constraint_scope with
-      | Whole_computation -> Visibility.All_pairs
-      | During_run -> Visibility.During_run);
-    anchor =
-      (match spec.vintage with
-      | First_vintage -> Visibility.First_state
-      | Current_vintage -> Visibility.Pre_state
-      | Snapshot_vintage -> Visibility.Snapshot);
-    failure = spec.failure_mode;
-    window = spec.membership_window;
-  }
-
-let check spec comp = Visibility.check (config_of spec) comp
+let check = Visibility.check

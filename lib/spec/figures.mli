@@ -1,19 +1,18 @@
-(** Executable versions of the paper's figure specifications.
+(** The paper's figure specifications, as named rows of the design space.
 
-    Each {!spec} value is one point in the weak-set design space;
-    {!check} validates a recorded {!Computation.t} of an [elements]
-    iterator run against it and reports violations with the offending
-    states.  All judging is done by the single parametric engine in
-    {!Visibility}: {!config_of} maps a spec's design dimensions onto a
-    visibility/arbitration config and {!check} is a thin table lookup.
+    Each {!spec} is one {!Visibility.config}: a point in the weak-set
+    design space, judged by the single parametric engine in
+    {!Visibility}.  {!check} validates a recorded {!Computation.t} of an
+    [elements] iterator run against it and reports violations with the
+    offending states.
 
-    The figures are parameterised by three design dimensions (§3):
-    - the {!Constraint_clause.t} on the set's value over the computation,
-    - the {e vintage}: whether invocations are judged against the set's
-      value in the first-state (Figures 1/3/4), the current pre-state
-      (Figures 5/6), or a single snapshot state somewhere in the run
-      ([lin], arXiv:1705.08885),
-    - the {e failure mode}: failures impossible (Figure 1), pessimistic
+    The rows vary the config's dimensions (§3):
+    - the {!Constraint_clause.t} on the set's value, over every pair of
+      states or (the §3.1/§3.3 relaxations) only within one run,
+    - the membership anchor: the set's value in the first-state (Figures
+      1/3/4), the current pre-state (Figures 5/6), or a single snapshot
+      state somewhere in the run ([lin], arXiv:1705.08885),
+    - the failure mode: failures impossible (Figure 1), pessimistic
       ([fails] as soon as an un-yielded element is unreachable, Figures
       3/4/5), or optimistic (never [fails]; blocks instead, Figure 6).
 
@@ -25,27 +24,7 @@
     the gap between the two is measurable when iterators read stale
     directory replicas (ablation A1). *)
 
-type vintage = First_vintage | Current_vintage | Snapshot_vintage
-
-type failure_mode = Visibility.failure_mode = No_failures | Pessimistic | Optimistic
-
-(** Scope of the type constraint: the figures as printed constrain every
-    pair of states; §3.1/§3.3 discuss relaxations where only states
-    between the first-state and last-state of one run are constrained
-    ("mutations may occur between different uses of the iterator, but not
-    between invocations of any one use"). *)
-type constraint_scope = Whole_computation | During_run
-
-type spec = {
-  spec_name : string;
-  paper_figure : string;          (** e.g. ["Figure 3"] *)
-  description : string;
-  constraint_ : Constraint_clause.t;
-  constraint_scope : constraint_scope;
-  vintage : vintage;
-  failure_mode : failure_mode;
-  membership_window : bool;       (** the [fig6_window] relaxation *)
-}
+type spec = Visibility.config
 
 (** Immutable set, failures ignored. *)
 val fig1 : spec
@@ -92,8 +71,5 @@ val verdict_ok : verdict -> bool
 val pp_violation : Format.formatter -> violation -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** The spec's design dimensions as a {!Visibility.config}. *)
-val config_of : spec -> Visibility.config
-
-(** [check spec comp] = [Visibility.check (config_of spec) comp]. *)
+(** [check spec comp] = [Visibility.check spec comp]. *)
 val check : spec -> Computation.t -> verdict

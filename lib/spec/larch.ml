@@ -1,6 +1,6 @@
 let constraint_line (spec : Figures.spec) =
   let body =
-    match Constraint_clause.name spec.Figures.constraint_ with
+    match Constraint_clause.name spec.Visibility.constraint_ with
     | s -> (
         (* names look like "constraint: s_i = s_j"; keep the relation part *)
         match String.index_opt s ':' with
@@ -9,38 +9,38 @@ let constraint_line (spec : Figures.spec) =
   in
   "constraint " ^ body
   ^
-  match spec.Figures.constraint_scope with
-  | Figures.Whole_computation -> ""
-  | Figures.During_run -> "    % only for states within one run (§3.1/§3.3)"
+  match spec.Visibility.scope with
+  | Visibility.All_pairs -> ""
+  | Visibility.During_run -> "    % only for states within one run (§3.1/§3.3)"
 
 let base_sym (spec : Figures.spec) =
-  match spec.Figures.vintage with
-  | Figures.First_vintage -> "s_first"
-  | Figures.Current_vintage -> "s_pre"
+  match spec.Visibility.anchor with
+  | Visibility.First_state -> "s_first"
+  | Visibility.Pre_state -> "s_pre"
   (* The lin design point: one snapshot σ ∈ [first, last] explains the
      whole run (arXiv:1705.08885). *)
-  | Figures.Snapshot_vintage -> "s_σ"
+  | Visibility.Snapshot -> "s_σ"
 
 let signature (spec : Figures.spec) =
-  match spec.Figures.failure_mode with
-  | Figures.Pessimistic -> "elements = iter (s: set) yields (e: elem) signals (failure)"
-  | Figures.No_failures | Figures.Optimistic -> "elements = iter (s: set) yields (e: elem)"
+  match spec.Visibility.failure with
+  | Visibility.Pessimistic -> "elements = iter (s: set) yields (e: elem) signals (failure)"
+  | Visibility.No_failures | Visibility.Optimistic -> "elements = iter (s: set) yields (e: elem)"
 
 let suspends_conjuncts (spec : Figures.spec) =
   let base = base_sym spec in
   let yield_bound =
-    match spec.Figures.failure_mode with
-    | Figures.Optimistic -> []
-    | Figures.No_failures | Figures.Pessimistic ->
+    match spec.Visibility.failure with
+    | Visibility.Optimistic -> []
+    | Visibility.No_failures | Visibility.Pessimistic ->
         [ Printf.sprintf "yielded_post ⊆ %s" base ]
   in
   let membership =
-    if spec.Figures.membership_window then
+    if spec.Visibility.window then
       [ "e ∈ s_σ for some σ ∈ [first, pre]"; "e ∈ accessible_pre" ]
     else
-      match spec.Figures.failure_mode with
-      | Figures.No_failures -> [ Printf.sprintf "e ∈ %s - yielded_pre" base ]
-      | Figures.Pessimistic | Figures.Optimistic ->
+      match spec.Visibility.failure with
+      | Visibility.No_failures -> [ Printf.sprintf "e ∈ %s - yielded_pre" base ]
+      | Visibility.Pessimistic | Visibility.Optimistic ->
           [ Printf.sprintf "e ∈ reachable(%s)_pre" base ]
   in
   ("yielded_post - yielded_pre = {e}" :: yield_bound) @ membership @ [ "suspends" ]
@@ -50,23 +50,23 @@ let ensures (spec : Figures.spec) =
   let buf = Buffer.create 256 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf ("    " ^ s ^ "\n")) fmt in
   line "ensures";
-  (match spec.Figures.failure_mode with
-  | Figures.No_failures ->
+  (match spec.Visibility.failure with
+  | Visibility.No_failures ->
       line "  if yielded_pre ⊂ %s" base;
       line "  then   %s" (String.concat "\n         ∧ " (suspends_conjuncts spec) |> String.trim)
-  | Figures.Pessimistic ->
+  | Visibility.Pessimistic ->
       line "  if yielded_pre ⊂ reachable(%s)_pre" base;
       line "  then   %s" (String.concat "\n         ∧ " (suspends_conjuncts spec) |> String.trim)
-  | Figures.Optimistic ->
+  | Visibility.Optimistic ->
       line "  if ∃ e ∈ %s . e ∉ yielded_pre" base;
       line "  then   %s" (String.concat "\n         ∧ " (suspends_conjuncts spec) |> String.trim));
-  (match spec.Figures.failure_mode with
-  | Figures.No_failures -> line "  else returns    %% yielded_pre = %s" base
-  | Figures.Pessimistic ->
+  (match spec.Visibility.failure with
+  | Visibility.No_failures -> line "  else returns    %% yielded_pre = %s" base
+  | Visibility.Pessimistic ->
       line "  else if reachable(%s)_pre ⊆ yielded_pre ∧ yielded_pre ⊂ %s" base base;
       line "  then fails";
       line "  else returns    %% yielded_pre = %s" base
-  | Figures.Optimistic -> line "  else returns");
+  | Visibility.Optimistic -> line "  else returns");
   Buffer.contents buf
 
 let render spec =
@@ -105,5 +105,5 @@ let render_all () =
        (fun spec ->
          Printf.sprintf "%s (%s): %s\n%s"
            (String.make 70 '-')
-           spec.Figures.paper_figure spec.Figures.description (render spec))
+           spec.Visibility.paper_figure spec.Visibility.description (render spec))
        Figures.all_specs)

@@ -51,7 +51,7 @@ let judge t ~bus ~set_id spec =
   t.judge <-
     Some
       {
-        config = Figures.config_of spec;
+        config = spec;
         bus;
         set_id;
         observes = 0;

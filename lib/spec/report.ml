@@ -1,9 +1,9 @@
 let summary spec comp verdict =
   let n = List.length (Computation.invocations comp) in
   match verdict with
-  | Figures.Conforms -> Printf.sprintf "%s: CONFORMS (%d invocations)" spec.Figures.spec_name n
+  | Figures.Conforms -> Printf.sprintf "%s: CONFORMS (%d invocations)" spec.Visibility.name n
   | Figures.Violates vs ->
-      Printf.sprintf "%s: VIOLATES %d clause(s) over %d invocations" spec.Figures.spec_name
+      Printf.sprintf "%s: VIOLATES %d clause(s) over %d invocations" spec.Visibility.name
         (List.length vs) n
 
 let detailed spec comp verdict =
@@ -33,7 +33,7 @@ let conformance_matrix comp =
 let pp_matrix fmt matrix =
   List.iter
     (fun (spec, verdict) ->
-      Format.fprintf fmt "  %-20s (%-18s): %s@." spec.Figures.spec_name spec.Figures.paper_figure
+      Format.fprintf fmt "  %-20s (%-18s): %s@." spec.Visibility.name spec.Visibility.paper_figure
         (match verdict with
         | Figures.Conforms -> "conforms"
         | Figures.Violates vs -> Printf.sprintf "violates (%d)" (List.length vs)))

@@ -19,6 +19,8 @@ type scope = All_pairs | During_run
 
 type config = {
   name : string;
+  paper_figure : string;
+  description : string;
   constraint_ : Constraint_clause.t;
   scope : scope;
   anchor : anchor;
@@ -84,35 +86,32 @@ let legal_pool ctx =
       ~to_:ctx.pre.Sstate.index
   else base_of ctx
 
-open Assertion
+(* An obligation's failure path: the names of the clauses that failed,
+   outermost first, or [] when it holds. *)
+let clause name holds = if holds then [] else [ name ]
+let conj name paths = match List.concat paths with [] -> [] | l -> name :: l
 
-let a_yield_disciplined e =
-  all "yielded_post - yielded_pre = {e}"
+let suspends_failures ctx e =
+  conj "suspends obligations"
     [
-      pred "e not already yielded" (fun ctx -> not (Elem.Set.mem e ctx.pre.Sstate.yielded));
-      pred "yielded grows by exactly e" (fun ctx ->
-          Elem.Set.equal ctx.post.Sstate.yielded (Elem.Set.add e ctx.pre.Sstate.yielded));
+      conj "yielded_post - yielded_pre = {e}"
+        [
+          clause "e not already yielded" (not (Elem.Set.mem e ctx.pre.Sstate.yielded));
+          clause "yielded grows by exactly e"
+            (Elem.Set.equal ctx.post.Sstate.yielded (Elem.Set.add e ctx.pre.Sstate.yielded));
+        ];
+      clause "e ∈ s (at the spec's vintage)"
+        (let ok = Elem.Set.mem e (legal_pool ctx) in
+         if !planted_axiom_mutation then not ok else ok);
+      clause "e ∈ reachable(s)_pre" (Elem.Set.mem e ctx.pre.Sstate.accessible);
+      (* Figures 1/3/4 require yielded_post ⊆ s_first and Figure 5 requires
+         yielded_post ⊆ s_pre; Figure 6 deliberately has no such clause
+         (yielded may retain elements that were removed after being
+         yielded). *)
+      clause "yielded_post ⊆ s (at the spec's vintage)"
+        (ctx.config.failure = Optimistic
+        || Elem.Set.subset ctx.post.Sstate.yielded (base_of ctx));
     ]
-
-let a_yield_member e =
-  pred "e ∈ s (at the spec's vintage)" (fun ctx ->
-      let ok = Elem.Set.mem e (legal_pool ctx) in
-      if !planted_axiom_mutation then not ok else ok)
-
-let a_yield_reachable e =
-  pred "e ∈ reachable(s)_pre" (fun ctx -> Elem.Set.mem e ctx.pre.Sstate.accessible)
-
-(* Figures 1/3/4 require yielded_post ⊆ s_first and Figure 5 requires
-   yielded_post ⊆ s_pre; Figure 6 deliberately has no such clause (yielded
-   may retain elements that were removed after being yielded). *)
-let a_yielded_bounded =
-  pred "yielded_post ⊆ s (at the spec's vintage)" (fun ctx ->
-      ctx.config.failure = Optimistic
-      || Elem.Set.subset ctx.post.Sstate.yielded (base_of ctx))
-
-let a_suspends_ok e =
-  all "suspends obligations"
-    [ a_yield_disciplined e; a_yield_member e; a_yield_reachable e; a_yielded_bounded ]
 
 (* Which terminations does the config allow given the pre-state? *)
 type expectation = Expect_suspends | Expect_returns | Expect_fails | Expect_either_suspend_return
@@ -139,27 +138,24 @@ let term_name = function
   | Sstate.Returns -> "returns"
   | Sstate.Fails -> "fails"
 
-let check_invocation ctx : result =
+let check_invocation ctx =
   let expect = expectation ctx in
   match (expect, ctx.term) with
   | (Expect_suspends | Expect_either_suspend_return), Sstate.Suspends e ->
-      check (a_suspends_ok e) ctx
-  | Expect_returns, Sstate.Returns -> Holds
-  | Expect_either_suspend_return, Sstate.Returns -> Holds
+      suspends_failures ctx e
+  | Expect_returns, Sstate.Returns -> []
+  | Expect_either_suspend_return, Sstate.Returns -> []
   | Expect_fails, Sstate.Fails ->
       (* The paper's fails branch ("a failure occurs if everything
          reachable has been yielded and the reachable set of elements is a
          subset of the original set").  Note ⊆, not =: elements already
          yielded may themselves have become unreachable since. *)
-      check
-        (all "fails obligations"
-           [
-             pred "reachable(base)_pre ⊆ yielded_pre" (fun ctx ->
-                 Elem.Set.subset (reach_of ctx) ctx.pre.Sstate.yielded);
-             pred "yielded_pre ⊆ base" (fun ctx ->
-                 Elem.Set.subset ctx.pre.Sstate.yielded (base_of ctx));
-           ])
-        ctx
+      conj "fails obligations"
+        [
+          clause "reachable(base)_pre ⊆ yielded_pre"
+            (Elem.Set.subset (reach_of ctx) ctx.pre.Sstate.yielded);
+          clause "yielded_pre ⊆ base" (Elem.Set.subset ctx.pre.Sstate.yielded (base_of ctx));
+        ]
   | expected, got ->
       let expected_str =
         match expected with
@@ -168,8 +164,7 @@ let check_invocation ctx : result =
         | Expect_fails -> "fails"
         | Expect_either_suspend_return -> "suspends-or-returns"
       in
-      Fails_because
-        [ Printf.sprintf "expected %s but iterator %s" expected_str (term_name got) ]
+      [ Printf.sprintf "expected %s but iterator %s" expected_str (term_name got) ]
 
 (* ------------------------------------------------------------------ *)
 (* Structure (config-independent)                                     *)
@@ -253,8 +248,8 @@ let check_weak config comp =
           | Sstate.Invocation_post (i, term) -> (
               let ctx = { config; first; pre; post; term; comp } in
               match check_invocation ctx with
-              | Holds -> ()
-              | Fails_because path ->
+              | [] -> ()
+              | path ->
                   add
                     (Printf.sprintf "ensures (invocation %d)" i)
                     (Some post) (String.concat " > " path))

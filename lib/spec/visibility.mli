@@ -9,9 +9,8 @@
     linearizable iterator of arXiv:1705.08885 — is a {!config}; one
     generic {!check} judges them all, with counterexample extraction.
 
-    {!Figures} keeps the named paper specifications and derives their
-    configs via [Figures.config_of]; use that module unless you are
-    defining a new design point directly. *)
+    {!Figures} names the paper's rows; a new design point is one more
+    {!config} value. *)
 
 (** The membership anchor: which state's [s] an invocation observes.
     [First_state] and [Pre_state] are the paper's two vintages;
@@ -27,6 +26,8 @@ type scope = All_pairs | During_run
 
 type config = {
   name : string;
+  paper_figure : string;  (** e.g. ["Figure 3"] *)
+  description : string;
   constraint_ : Constraint_clause.t;
   scope : scope;
   anchor : anchor;

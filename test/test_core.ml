@@ -73,14 +73,14 @@ let expect_spec_conforms inst spec =
   match Instrument.check inst spec with
   | Weakset_spec.Figures.Conforms -> ()
   | v ->
-      Alcotest.failf "expected conformance to %s:@.%s@.%a" spec.Weakset_spec.Figures.spec_name
+      Alcotest.failf "expected conformance to %s:@.%s@.%a" spec.Weakset_spec.Visibility.name
         (Format.asprintf "%a" Weakset_spec.Figures.pp_verdict v)
         Weakset_spec.Computation.pp (Instrument.computation inst)
 
 let expect_spec_violates inst spec =
   match Instrument.check inst spec with
   | Weakset_spec.Figures.Conforms ->
-      Alcotest.failf "expected violation of %s" spec.Weakset_spec.Figures.spec_name
+      Alcotest.failf "expected violation of %s" spec.Weakset_spec.Visibility.name
   | Weakset_spec.Figures.Violates _ -> ()
 
 let get_inst = function
