@@ -1,9 +1,9 @@
 # One-command tier-1 verification: build + tests (including the trace
 # determinism suite in test/test_obs.ml) + formatting check.
 
-.PHONY: check build test fmt fmt-fix design-map bench bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke perf-smoke clean
+.PHONY: check build test fmt fmt-fix design-map no-globals bench bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke perf-smoke clean
 
-check: build test fmt design-map bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke perf-smoke
+check: build test fmt design-map no-globals bench-compare e12-smoke e13-smoke admission-smoke vopr-smoke blackbox-smoke repl-smoke perf-smoke
 
 build:
 	dune build @all
@@ -43,6 +43,17 @@ design-map:
 	    for (f in exists) if (!(f in named)) { print "design-map: DESIGN.md section 5 omits " f; bad = 1 } \
 	    for (f in named) if (!(f in exists)) { print "design-map: DESIGN.md section 5 names missing " f; bad = 1 } \
 	    exit bad }' - DESIGN.md
+
+# No process-global mutable state in the libraries: a binding to a ref,
+# hash table, buffer or array at the top level of a module (or of a
+# submodule) is shared by every run in the process, so runs could no
+# longer be told apart by their inputs alone.  A local binding ends its
+# line with `in` and is allowed.
+no-globals:
+	@! find lib -name '*.ml' | sort | xargs grep -nE \
+	  "^ *let +[a-z_][A-Za-z0-9_']* *(:[^=]*)?= *(ref|Hashtbl\.create|Buffer\.create|Array\.make)\b" \
+	  | grep -vE "\bin *(\(\*.*)?$$" | grep . \
+	  || { echo "no-globals: a lib/ module binds process-global mutable state (above)"; exit 1; }
 
 # The regression gate: rerun the seeded baseline suite (deterministic,
 # well under a second), compare it with the committed BENCH_baseline.json

@@ -15,6 +15,7 @@ module Oracle = Weakset_vopr.Oracle
 module Runner = Weakset_vopr.Runner
 module Shrink = Weakset_vopr.Shrink
 module Scenario = Weakset_vopr.Scenario
+module Planted = Weakset_obs.Planted
 
 let usage =
   "usage: weakset_vopr COMMAND [options]\n\n\
@@ -76,6 +77,30 @@ let int_arg flag v =
   | Some n when n > 0 -> n
   | _ -> usage_die "%s expects a positive integer, got %S" flag v
 
+(* Output directories are checked before any run starts, so a bad one
+   cannot cost a finished sweep. *)
+let dir_arg flag v =
+  if Sys.file_exists v && Sys.is_directory v then v
+  else usage_die "%s expects an existing directory, got %S" flag v
+
+(* Every planted-bug flag, the command that takes it and the bug it arms. *)
+let planted_flags =
+  Planted.
+    [
+      ("--planted-bug", "run", fun p -> { p with grow_only_drop = true });
+      ("--planted-cache-bug", "run", fun p -> { p with inval_drop = true });
+      ("--planted-spec-bug", "run", fun p -> { p with axiom_flip = true });
+      ("--planted-commit-bug", "scenarios", fun p -> { p with view_change_drop = true });
+      ("--planted-shed-bug", "scenarios", fun p -> { p with shed_after_apply = true });
+    ]
+
+(* [arm cmd p flag] is [p] with the bug [flag] names armed; any other
+   argument is unknown to [cmd]. *)
+let arm cmd p flag =
+  match List.find_opt (fun (f, c, _) -> f = flag && c = cmd) planted_flags with
+  | Some (_, _, arm) -> arm p
+  | None -> usage_die "%s: unknown argument %S" cmd flag
+
 (* ------------------------------------------------------------------ *)
 (* run                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -86,9 +111,7 @@ type run_opts = {
   mutable bundle_dir : string option;
   mutable blackbox_dir : string option;
   mutable no_shrink : bool;
-  mutable planted_bug : bool;
-  mutable planted_cache_bug : bool;
-  mutable planted_spec_bug : bool;
+  mutable planted : Planted.t;
   mutable quiet : bool;
 }
 
@@ -100,9 +123,7 @@ let parse_run_args args =
       bundle_dir = None;
       blackbox_dir = None;
       no_shrink = false;
-      planted_bug = false;
-      planted_cache_bug = false;
-      planted_spec_bug = false;
+      planted = Planted.none;
       quiet = false;
     }
   in
@@ -121,29 +142,22 @@ let parse_run_args args =
         o.step_cap <- Some (int_arg "--step-cap" v);
         go rest
     | "--bundle-dir" :: v :: rest ->
-        o.bundle_dir <- Some v;
+        o.bundle_dir <- Some (dir_arg "--bundle-dir" v);
         go rest
     | "--blackbox-dir" :: v :: rest ->
-        o.blackbox_dir <- Some v;
+        o.blackbox_dir <- Some (dir_arg "--blackbox-dir" v);
         go rest
     | "--no-shrink" :: rest ->
         o.no_shrink <- true;
-        go rest
-    | "--planted-bug" :: rest ->
-        o.planted_bug <- true;
-        go rest
-    | "--planted-cache-bug" :: rest ->
-        o.planted_cache_bug <- true;
-        go rest
-    | "--planted-spec-bug" :: rest ->
-        o.planted_spec_bug <- true;
         go rest
     | "--quiet" :: rest ->
         o.quiet <- true;
         go rest
     | [ (("--seeds" | "--seed" | "--step-cap" | "--bundle-dir" | "--blackbox-dir") as flag) ] ->
         usage_die "%s expects an argument" flag
-    | a :: _ -> usage_die "run: unknown argument %S" a
+    | a :: rest ->
+        o.planted <- arm "run" o.planted a;
+        go rest
   in
   go args;
   if o.seeds = [] then usage_die "run: no seeds given (use --seeds A..B or --seed N)";
@@ -166,9 +180,10 @@ let cmd_run args =
       let bundled =
         if o.no_shrink then r
         else begin
-          let run p = (Runner.execute ?step_cap:o.step_cap p).issues in
+          let execute p = Runner.execute ?step_cap:o.step_cap ~planted:o.planted p in
+          let run p = (execute p).issues in
           let plan', _issues', st = Shrink.minimize ~run ~issues:r.issues r.plan in
-          let r' = Runner.execute ?step_cap:o.step_cap plan' in
+          let r' = execute plan' in
           Printf.printf "  shrunk %d -> %d schedule events in %d runs\n%!" st.initial_events
             st.final_events st.runs;
           r'
@@ -200,10 +215,7 @@ let cmd_run args =
         o.blackbox_dir
     end
   in
-  let results =
-    Runner.with_planted ~grow_only:o.planted_bug ~cache:o.planted_cache_bug
-      ~spec:o.planted_spec_bug (fun () -> Runner.sweep ?step_cap:o.step_cap ~progress o.seeds)
-  in
+  let results = Runner.sweep ?step_cap:o.step_cap ~planted:o.planted ~progress o.seeds in
   Printf.printf "vopr: %d seed(s), %d failure(s)\n%!" (List.length results) !failures;
   exit (if !failures > 0 then 1 else 0)
 
@@ -292,15 +304,11 @@ let cmd_shrink args =
         exit 1
     | l -> l
   in
-  (* Shrink under the recorded run's own step cap and planted flags. *)
-  let execute p = Runner.execute ~step_cap:b.b_step_cap p in
-  let st, r' =
-    Runner.with_planted ~grow_only:b.b_planted ~cache:b.b_planted_cache ~spec:b.b_planted_spec
-      (fun () ->
-        let run p = (execute p).issues in
-        let plan', _, st = Shrink.minimize ?max_runs:o.s_max_runs ~run ~issues b.b_plan in
-        (st, execute plan'))
-  in
+  (* Shrink under the recorded run's own step cap and planted bugs. *)
+  let execute p = Runner.execute ~step_cap:b.b_step_cap ~planted:b.b_planted p in
+  let run p = (execute p).issues in
+  let plan', _, st = Shrink.minimize ?max_runs:o.s_max_runs ~run ~issues b.b_plan in
+  let r' = execute plan' in
   Printf.printf "shrunk %d -> %d schedule events (%d candidate runs, %d kept)\n"
     st.initial_events st.final_events st.runs st.kept;
   let out = Option.value o.s_out ~default:path in
@@ -317,8 +325,7 @@ type scenario_opts = {
   mutable sc_list : bool;
   mutable sc_step_cap : int option;
   mutable sc_bundle_dir : string option;
-  mutable sc_planted : bool;
-  mutable sc_planted_shed : bool;
+  mutable sc_planted : Planted.t;
   mutable sc_quiet : bool;
 }
 
@@ -329,8 +336,7 @@ let parse_scenario_args args =
       sc_list = false;
       sc_step_cap = None;
       sc_bundle_dir = None;
-      sc_planted = false;
-      sc_planted_shed = false;
+      sc_planted = Planted.none;
       sc_quiet = false;
     }
   in
@@ -346,20 +352,16 @@ let parse_scenario_args args =
         o.sc_step_cap <- Some (int_arg "--step-cap" v);
         go rest
     | "--bundle-dir" :: v :: rest ->
-        o.sc_bundle_dir <- Some v;
-        go rest
-    | "--planted-commit-bug" :: rest ->
-        o.sc_planted <- true;
-        go rest
-    | "--planted-shed-bug" :: rest ->
-        o.sc_planted_shed <- true;
+        o.sc_bundle_dir <- Some (dir_arg "--bundle-dir" v);
         go rest
     | "--quiet" :: rest ->
         o.sc_quiet <- true;
         go rest
     | [ (("--only" | "--step-cap" | "--bundle-dir") as flag) ] ->
         usage_die "%s expects an argument" flag
-    | a :: _ -> usage_die "scenarios: unknown argument %S" a
+    | a :: rest ->
+        o.sc_planted <- arm "scenarios" o.sc_planted a;
+        go rest
   in
   go args;
   o.sc_only <- List.rev o.sc_only;
@@ -402,10 +404,7 @@ let cmd_scenarios args =
   let failures = ref 0 in
   List.iter
     (fun row ->
-      let outcome =
-        Scenario.run ?step_cap:o.sc_step_cap ~planted:o.sc_planted
-          ~planted_shed:o.sc_planted_shed row
-      in
+      let outcome = Scenario.run ?step_cap:o.sc_step_cap ~planted:o.sc_planted row in
       let ok = Scenario.passed outcome in
       if not ok then incr failures;
       if (not ok) || not o.sc_quiet then
@@ -418,7 +417,7 @@ let cmd_scenarios args =
           o.sc_bundle_dir)
     rows;
   Printf.printf "scenarios: %d row(s), %d failure(s)%s\n%!" (List.length rows) !failures
-    (match (o.sc_planted, o.sc_planted_shed) with
+    (match (o.sc_planted.view_change_drop, o.sc_planted.shed_after_apply) with
     | true, true -> " [planted commit + shed bugs armed]"
     | true, false -> " [planted commit bug armed]"
     | false, true -> " [planted shed bug armed]"

@@ -19,8 +19,6 @@ let make_ctx ?instrument ?heal_signal ?(retry_backoff = 1.0) ?(lock_timeout = 60
     ?(max_fetch_attempts = 5) client sref =
   { client; sref; instrument; heal_signal; retry_backoff; lock_timeout; max_fetch_attempts }
 
-let planted_grow_only_drop = ref false
-
 let engine ctx = Client.engine ctx.client
 
 module Pool = struct

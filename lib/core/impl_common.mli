@@ -28,13 +28,6 @@ val make_ctx :
 
 val engine : ctx -> Weakset_sim.Engine.t
 
-(** Mutation-testing hook (off by default, and in all production paths):
-    when set, the grow-only iterator silently marks un-yielded members
-    whose homes are unreachable as yielded and returns instead of
-    signalling failure — a deliberately planted partition-window bug the
-    VOPR swarm must detect, shrink and replay (see [lib/vopr]). *)
-val planted_grow_only_drop : bool ref
-
 (** {1 Choosing the next element}
 
     A candidate pool holds the not-yet-yielded candidates of one

@@ -59,7 +59,7 @@ let next st () =
             end
             else
               match pick st.ctx st.pool with
-              | None when !planted_grow_only_drop ->
+              | None when (Weakset_sim.Engine.planted (engine st.ctx)).grow_only_drop ->
                   (* Planted bug (mutation testing): silently drop the
                      unreachable members and pretend the iteration is
                      complete instead of signalling the failure. *)

@@ -166,4 +166,5 @@ let invocation_completed t term =
 
 let suspends oid = Spec.Sstate.Suspends (elem_of_oid oid)
 
-let check t spec = Spec.Figures.check spec (computation t)
+let check t spec =
+  Spec.Figures.check ~planted:(Engine.planted (Client.engine t.client)) spec (computation t)

@@ -72,5 +72,6 @@ val invocation_completed : t -> Weakset_spec.Sstate.termination -> unit
 (** Spec termination value for yielding [oid]. *)
 val suspends : Weakset_store.Oid.t -> Weakset_spec.Sstate.termination
 
-(** [check t spec] validates the recorded computation. *)
+(** [check t spec] validates the recorded computation, under the planted
+    bugs of the client's engine. *)
 val check : t -> Weakset_spec.Figures.spec -> Weakset_spec.Figures.verdict

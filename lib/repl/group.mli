@@ -24,14 +24,6 @@
 
 type rpc = (Weakset_store.Protocol.request, Weakset_store.Protocol.response) Weakset_net.Rpc.t
 
-(** Planted commit-safety bug (armed by [vopr scenarios
-    --planted-commit-bug]): a new leader drops the uncommitted suffix of
-    the adopted log instead of re-replicating it, losing any entry the
-    old leader had committed whose commit point had not yet propagated,
-    and reusing its opnum.  The oracle's commit-safety verdicts must
-    catch this. *)
-val planted_view_change_drop : bool ref
-
 (** Render a directory op the way ledger and oracle evidence do. *)
 val op_str : Weakset_store.Directory.op -> string
 
@@ -73,7 +65,10 @@ type t
     protocol message; [submit_patience] (default 20) bounds how long a
     client submit waits for its commit before answering with a
     retryable redirect.  [ledger], if given, records every committed op
-    (share one across the group's members).
+    (share one across the group's members).  When the engine's
+    {!Weakset_obs.Planted.view_change_drop} is armed, a new leader drops
+    the adopted log's uncommitted suffix, and the oracle's commit-safety
+    verdicts must catch it.
 
     Raises [Invalid_argument] if [me] is not in [members] or [server]
     does not host [set_id]. *)

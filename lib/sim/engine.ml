@@ -29,6 +29,8 @@ type t = {
   mutable ticks : int;
   root_rng : Rng.t;
   bus : Weakset_obs.Bus.t;
+  planted : Weakset_obs.Planted.t;
+  mutable tokens : int;
   mutable live : int;
   mutable fiber_counter : int;
   mutable crashed : crash list;
@@ -40,7 +42,7 @@ type _ Effect.t +=
 
 let no_timer = { time = 0.0; seq = 0; action = ignore; slot = -1 }
 
-let create ?(seed = 1L) ?bus () =
+let create ?(seed = 1L) ?bus ?(planted = Weakset_obs.Planted.none) () =
   let bus = match bus with Some b -> b | None -> Weakset_obs.Bus.create () in
   {
     now = 0.0;
@@ -52,6 +54,8 @@ let create ?(seed = 1L) ?bus () =
     ticks = 0;
     root_rng = Rng.create seed;
     bus;
+    planted;
+    tokens = 0;
     live = 0;
     fiber_counter = 0;
     crashed = [];
@@ -60,6 +64,12 @@ let create ?(seed = 1L) ?bus () =
 let now t = t.now
 let rng t = t.root_rng
 let bus t = t.bus
+let planted t = t.planted
+
+let fresh_token t =
+  t.tokens <- t.tokens + 1;
+  t.tokens
+
 let metrics t = Weakset_obs.Bus.metrics t.bus
 let live_fibers t = t.live
 let crashes t = List.rev t.crashed

@@ -20,12 +20,15 @@ type crash = {
   crash_exn : exn;
 }
 
-(** [create ?seed ?bus ()] makes a fresh engine with virtual time 0.
-    [seed] (default [1L]) initialises the engine's root {!Rng.t}.  [bus]
-    (fresh by default) is the observability bus every subsystem of this
-    engine publishes typed events to; pass one in to share a metrics
-    registry across engines. *)
-val create : ?seed:int64 -> ?bus:Weakset_obs.Bus.t -> unit -> t
+(** [create ?seed ?bus ?planted ()] makes a fresh engine with virtual
+    time 0.  [seed] (default [1L]) initialises the engine's root
+    {!Rng.t}.  [bus] (fresh by default) is the observability bus every
+    subsystem of this engine publishes typed events to; pass one in to
+    share a metrics registry across engines.  [planted] (default
+    {!Weakset_obs.Planted.none}) arms mutation-test bugs for this engine
+    only. *)
+val create :
+  ?seed:int64 -> ?bus:Weakset_obs.Bus.t -> ?planted:Weakset_obs.Planted.t -> unit -> t
 
 (** Current virtual time. *)
 val now : t -> float
@@ -40,6 +43,15 @@ val rng : t -> Rng.t
     [Tracer] mirror is gone), so profilers can attribute waiting time
     per fiber. *)
 val bus : t -> Weakset_obs.Bus.t
+
+(** The planted bugs this engine was created with; every subsystem that
+    hosts one reads it here. *)
+val planted : t -> Weakset_obs.Planted.t
+
+(** [fresh_token t] is a positive integer no earlier call on [t]
+    returned: identities (lock owners) that need only be distinct within
+    one simulation. *)
+val fresh_token : t -> int
 
 (** Shorthand for [Weakset_obs.Bus.metrics (bus t)]. *)
 val metrics : t -> Weakset_obs.Metrics.t

@@ -71,5 +71,5 @@ val verdict_ok : verdict -> bool
 val pp_violation : Format.formatter -> violation -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** [check spec comp] = [Visibility.check spec comp]. *)
-val check : spec -> Computation.t -> verdict
+(** [check ?planted spec comp] = [Visibility.check ?planted spec comp]. *)
+val check : ?planted:Weakset_obs.Planted.t -> spec -> Computation.t -> verdict

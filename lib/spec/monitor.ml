@@ -6,6 +6,7 @@ type buffered_pre = { b_seq : int; b_time : float; b_s : Elem.Set.t; b_accessibl
 (* The conformance judge armed by [judge]. *)
 type judge = {
   config : Visibility.config;  (* the spec's design point, judged by the unified engine *)
+  planted : Weakset_obs.Planted.t;
   bus : Bus.t;
   set_id : int;
   mutable observes : int;
@@ -44,7 +45,7 @@ let blocked t = Option.is_some t.pending
 
 let sample_every = 16
 
-let judge t ~bus ~set_id spec =
+let judge ?(planted = Weakset_obs.Planted.none) t ~bus ~set_id spec =
   if Option.is_some t.judge then invalid_arg "Monitor.judge: already judged";
   if Computation.length t.comp > 0 || Option.is_some t.pending then
     invalid_arg "Monitor.judge: a state is already recorded";
@@ -52,6 +53,7 @@ let judge t ~bus ~set_id spec =
     Some
       {
         config = spec;
+        planted;
         bus;
         set_id;
         observes = 0;
@@ -78,7 +80,7 @@ let note j ~time (v : Figures.violation) =
 
 let full_check t j ~time =
   j.full_checks <- j.full_checks + 1;
-  let verdict = Visibility.check j.config t.comp in
+  let verdict = Visibility.check ~planted:j.planted j.config t.comp in
   (match verdict with
   | Visibility.Conforms -> ()
   | Visibility.Violates vs -> List.iter (note j ~time) vs);

@@ -68,12 +68,19 @@ val observe_mutation :
 
 (** {1 Online judging} *)
 
-(** [judge t ~bus ~set_id spec] arms [t] to check its computation
-    against [spec] from the next capture on, publishing violations as
-    [Spec_violation] events for [set_id] on [bus].  Raises
-    [Invalid_argument] if [t] is already judged or has recorded a state
-    (or started an invocation). *)
-val judge : t -> bus:Weakset_obs.Bus.t -> set_id:int -> Figures.spec -> unit
+(** [judge ?planted t ~bus ~set_id spec] arms [t] to check its
+    computation against [spec] from the next capture on, publishing
+    violations as [Spec_violation] events for [set_id] on [bus].  Every
+    check passes [planted] (default {!Weakset_obs.Planted.none}) to
+    {!Visibility.check}.  Raises [Invalid_argument] if [t] is already
+    judged or has recorded a state (or started an invocation). *)
+val judge :
+  ?planted:Weakset_obs.Planted.t ->
+  t ->
+  bus:Weakset_obs.Bus.t ->
+  set_id:int ->
+  Figures.spec ->
+  unit
 
 (** [finish t ~time] runs the final full check at virtual time [time]
     and returns its verdict; later captures are no longer judged.

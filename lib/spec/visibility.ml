@@ -45,18 +45,13 @@ let pp_verdict fmt = function
       Format.fprintf fmt "VIOLATES (%d):@." (List.length vs);
       List.iter (fun v -> Format.fprintf fmt "  %a@." pp_violation v) vs
 
-(* Mutation-test hook (CI): inverting the membership axiom must make a
-   seeded VOPR run convict an otherwise healthy build — proof that the
-   unified engine, not some vestigial legacy path, is doing the
-   judging. *)
-let planted_axiom_mutation = ref false
-
 (* ------------------------------------------------------------------ *)
 (* Per-invocation checking                                            *)
 (* ------------------------------------------------------------------ *)
 
 type inv_ctx = {
   config : config;
+  flip_axiom : bool;  (* the planted membership-axiom inversion *)
   first : Sstate.t;
   pre : Sstate.t;
   post : Sstate.t;
@@ -102,7 +97,7 @@ let suspends_failures ctx e =
         ];
       clause "e ∈ s (at the spec's vintage)"
         (let ok = Elem.Set.mem e (legal_pool ctx) in
-         if !planted_axiom_mutation then not ok else ok);
+         if ctx.flip_axiom then not ok else ok);
       clause "e ∈ reachable(s)_pre" (Elem.Set.mem e ctx.pre.Sstate.accessible);
       (* Figures 1/3/4 require yielded_post ⊆ s_first and Figure 5 requires
          yielded_post ⊆ s_pre; Figure 6 deliberately has no such clause
@@ -229,7 +224,7 @@ let constraint_violation config comp =
 (* Weak configs: first-state / pre-state anchors                      *)
 (* ------------------------------------------------------------------ *)
 
-let check_weak config comp =
+let check_weak ~flip_axiom config comp =
   let vs = ref [] in
   let add where state message = vs := { where; state; message } :: !vs in
   (* 1. Structure. *)
@@ -246,7 +241,7 @@ let check_weak config comp =
         (fun (pre, post) ->
           match post.Sstate.kind with
           | Sstate.Invocation_post (i, term) -> (
-              let ctx = { config; first; pre; post; term; comp } in
+              let ctx = { config; flip_axiom; first; pre; post; term; comp } in
               match check_invocation ctx with
               | [] -> ()
               | path ->
@@ -373,7 +368,7 @@ let check_snapshot config comp =
   | _ -> ());
   match List.rev !vs with [] -> Conforms | l -> Violates l
 
-let check config comp =
+let check ?(planted = Weakset_obs.Planted.none) config comp =
   match config.anchor with
-  | First_state | Pre_state -> check_weak config comp
+  | First_state | Pre_state -> check_weak ~flip_axiom:planted.axiom_flip config comp
   | Snapshot -> check_snapshot config comp

@@ -47,20 +47,18 @@ val verdict_ok : verdict -> bool
 val pp_violation : Format.formatter -> violation -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 
-(** CI mutation hook: when set, the membership axiom is inverted, so a
-    healthy run must be convicted — proving the unified engine is live
-    on the checking path.  Never set outside the mutation test. *)
-val planted_axiom_mutation : bool ref
-
 (** Structure obligations shared by every config: a first-state exists,
     [yielded] starts empty and evolves only at suspends, termination is
     terminal. *)
 val structural_violations : Computation.t -> violation list
 
-(** [check config comp] validates every obligation of the config against
-    the recorded computation: the constraint clause over its scope, the
-    history-object discipline, each completed invocation's branch of the
-    ensures clause, failure-mode legality, and the membership guarantee
-    of the config's visibility relation (anchor, window, or snapshot
-    witness). *)
-val check : config -> Computation.t -> verdict
+(** [check ?planted config comp] validates every obligation of the
+    config against the recorded computation: the constraint clause over
+    its scope, the history-object discipline, each completed invocation's
+    branch of the ensures clause, failure-mode legality, and the
+    membership guarantee of the config's visibility relation (anchor,
+    window, or snapshot witness).  With [planted]'s
+    {!Weakset_obs.Planted.axiom_flip} armed (default {!Weakset_obs.Planted.none})
+    the membership axiom is inverted, so a healthy run is convicted: the
+    mutation test proving this engine is live on the checking path. *)
+val check : ?planted:Weakset_obs.Planted.t -> config -> Computation.t -> verdict

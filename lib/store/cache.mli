@@ -28,11 +28,6 @@ type config = { capacity : int; ttl : float }
 val default_config : config
 (** [{ capacity = 256; ttl = 30.0 }] *)
 
-val planted_inval_drop : bool ref
-(** Mutation-test fault injection: when set, wire [Inval] callbacks are
-    silently dropped, so cached memberships go stale while connected.
-    The VOPR oracle's [Stale_beyond_lease] verdict must catch this. *)
-
 type t
 
 val create : ?config:config -> Weakset_sim.Engine.t -> node:int -> t
@@ -75,7 +70,8 @@ val store_dir :
 val wire_inval : t -> set_id:int -> version:Version.t -> unit
 (** Handle a server [Inval] callback: drop the cached membership of
     [set_id] (no-op if nothing is cached — the callback raced a local
-    drop).  Dropped entirely when {!planted_inval_drop} is armed. *)
+    drop).  Dropped entirely when the engine's
+    {!Weakset_obs.Planted.inval_drop} is armed. *)
 
 val self_inval : t -> set_id:int -> unit
 (** Drop the cached membership of [set_id] after one of the owner's own

@@ -86,12 +86,6 @@ let topology t = Rpc.topology t.rpc
 let with_timeout t timeout = { t with timeout }
 let with_span_parent t span = { t with parent0 = Some span }
 
-let owner_counter = ref 0
-
-let fresh_owner () =
-  incr owner_counter;
-  !owner_counter
-
 let of_rpc_error = function Rpc.Timeout -> Timeout | Rpc.Unreachable -> Unreachable
 
 (* Lazy token-bucket refill, clocked on virtual time: tokens accrue at
@@ -417,7 +411,7 @@ let dir_size ?parent t (sref : Protocol.set_ref) =
   | Error e -> Error e
 
 let lock_acquire ?parent t (sref : Protocol.set_ref) kind =
-  let owner = fresh_owner () in
+  let owner = Weakset_sim.Engine.fresh_token (engine t) in
   (* The server stops waiting slightly before our own RPC timeout, so
      its denial reaches us rather than racing the timer — and a grant is
      never issued to a caller that has already given up. *)

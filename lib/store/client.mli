@@ -88,9 +88,6 @@ val with_timeout : t -> float -> t
     cache, retry budget) with [t]. *)
 val with_span_parent : t -> int -> t
 
-(** Fresh process-unique lock-owner token. *)
-val fresh_owner : unit -> int
-
 (** {1 Objects} *)
 
 (** [fetch t oid] retrieves the contents — from the lease cache when it
@@ -160,7 +157,8 @@ val dir_size : ?parent:int -> t -> Protocol.set_ref -> (int, error) result
 (** {1 Locks and iterator registration (on the coordinator)} *)
 
 (** [lock_acquire t sref kind] blocks until granted; returns the owner
-    token to pass to {!lock_release}. *)
+    token to pass to {!lock_release}, drawn from the engine's
+    {!Weakset_sim.Engine.fresh_token}, so distinct within the run. *)
 val lock_acquire : ?parent:int -> t -> Protocol.set_ref -> Lockmgr.kind -> (int, error) result
 
 val lock_release : ?parent:int -> t -> Protocol.set_ref -> owner:int -> (unit, error) result

@@ -9,13 +9,6 @@ type mutation_policy = Immediate | Defer_removes_while_iterating
 
 type admission = { capacity : int }
 
-(* Mutation-testing hook (armed by the VOPR [--planted-shed-bug] gate):
-   a shed mutation applies its directory effect anyway — outside any
-   consensus submit — before the Overloaded reply leaves.  The shed is
-   then NOT a clean no-op: one node's directory diverges from the fold
-   of its committed log, which the oracle must flag. *)
-let planted_shed_after_apply = ref false
-
 type dir_state = {
   dir : Directory.t;
   lock : Lockmgr.t;
@@ -407,9 +400,11 @@ let make_admission t ~capacity =
     let cls = Protocol.op_class req in
     if depth < shed_threshold ~capacity cls then None
     else begin
-      (if !planted_shed_after_apply then
-         (* the planted bug: the mutation's effect lands even though the
-            reply says it was shed *)
+      (if (Engine.planted eng).shed_after_apply then
+         (* the planted bug: the mutation's effect lands, outside any
+            consensus submit, even though the reply says it was shed, so
+            this node's directory diverges from the fold of its committed
+            log *)
          match req with
          | Protocol.Dir_add { set_id; oid } -> (
              match dir_state t set_id with

@@ -27,15 +27,9 @@ type mutation_policy =
     jumps the service queue.  A shed request is answered with
     {!Protocol.Overloaded} carrying a deterministic [retry_after] hint
     (the estimated backlog drain time), at zero service cost, before any
-    part of the handler runs — a clean no-op. *)
+    part of the handler runs — a clean no-op, unless the engine's
+    {!Weakset_obs.Planted.shed_after_apply} is armed. *)
 type admission = { capacity : int }
-
-(** Mutation-testing hook for the VOPR [--planted-shed-bug] gate: when
-    armed, a shed [Dir_add]/[Dir_remove] applies its directory effect
-    anyway — outside consensus — before the [Overloaded] reply leaves,
-    so the shed is no longer a clean no-op and the oracle must flag the
-    resulting directory/log divergence. *)
-val planted_shed_after_apply : bool ref
 
 type t
 

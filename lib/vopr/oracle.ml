@@ -194,14 +194,14 @@ let tolerable it (v : Figures.violation) =
   || (it.faulty && msg = "suspends obligations > e ∈ reachable(s)_pre")
   || (it.semantics = "optimistic-stale" && msg = "expected suspends but iterator returns")
 
-let judge_iteration it =
+let judge_iteration ~planted it =
   (* An iteration that could not even record a first state (e.g. the
      coordinator was unreachable at open) produced no computation to
      check: a legitimate pessimistic failure, not a violation. *)
   match Computation.first_state it.computation with
   | None -> []
   | Some _ ->
-      let verdict = Figures.check it.spec it.computation in
+      let verdict = Figures.check ~planted it.spec it.computation in
       let replay_violations =
         (match verdict with Figures.Conforms -> [] | Figures.Violates vs -> vs)
         |> List.filter (fun v -> not (tolerable it v))
@@ -346,8 +346,8 @@ let judge_repl ev =
   in
   List.rev dup_issues @ log_issues @ election_issues @ shed_issues
 
-let judge input =
-  let iteration_issues = List.concat_map judge_iteration input.iterations in
+let judge ?(planted = Weakset_obs.Planted.none) input =
+  let iteration_issues = List.concat_map (judge_iteration ~planted) input.iterations in
   let cache_issues =
     match input.cache with None -> [] | Some ev -> judge_cache ev
   in
@@ -579,7 +579,7 @@ let run w ~step_cap evidence =
   let steps = Engine.run ~max_steps:step_cap w.w_eng in
   let ev = evidence () in
   let issues =
-    judge
+    judge ~planted:(Engine.planted w.w_eng)
       {
         iterations = ev.ev_iterations;
         engine_crashes =

@@ -121,7 +121,10 @@ type input = {
   repl : repl_evidence option;  (** [None]: the run had no replication group *)
 }
 
-val judge : input -> issue list
+(** [judge ?planted input] re-checks every iteration's computation
+    with [planted] (default {!Weakset_obs.Planted.none}), the value the
+    run's online monitors judged with. *)
+val judge : ?planted:Weakset_obs.Planted.t -> input -> issue list
 
 (** Category slug of an issue ("spec-violation", "stuck-iterator", ...);
     the shrinker preserves categories, not exact messages. *)
@@ -175,5 +178,6 @@ type run = {
 
 (** [run w ~step_cap evidence] runs the engine for at most [step_cap]
     steps, then judges [evidence ()] together with the engine's crashes,
-    the fibers still parked and the unanswered RPC calls. *)
+    the fibers still parked and the unanswered RPC calls, under the
+    engine's planted bugs. *)
 val run : watch -> step_cap:int -> (unit -> evidence) -> run

@@ -19,6 +19,7 @@ module Bus = Weakset_obs.Bus
 module Event = Weakset_obs.Event
 module Json = Weakset_obs.Json
 module Flight = Weakset_obs.Flight
+module Planted = Weakset_obs.Planted
 
 type result = {
   plan : Gen.plan;
@@ -28,9 +29,7 @@ type result = {
   issues : Oracle.issue list;
   iterations : Oracle.iteration_input list;
   step_cap : int;
-  planted : bool;
-  planted_cache : bool;
-  planted_spec : bool;
+  planted : Planted.t;
 }
 
 let default_step_cap = 1_000_000
@@ -131,14 +130,11 @@ let spec_for plan sem =
    trigger.  The recorder only listens, so the run's digest, events and
    steps are the same either way.  Ring capacity is modest — dumps ride
    inside repro bundles. *)
-let run_plan ~record ~step_cap plan =
+let run_plan ~record ~step_cap ~planted plan =
   validate plan;
-  let planted = !Weakset_core.Impl_common.planted_grow_only_drop in
-  let planted_cache = !Cache.planted_inval_drop in
-  let planted_spec = !Weakset_spec.Visibility.planted_axiom_mutation in
   let c = plan.Gen.config in
   let n = c.Gen.nodes in
-  let eng = Engine.create ~seed:plan.Gen.seed () in
+  let eng = Engine.create ~seed:plan.Gen.seed ~planted () in
   let bus = Engine.bus eng in
   let watch = Oracle.watch eng in
   let flight =
@@ -317,7 +313,7 @@ let run_plan ~record ~step_cap plan =
                   (* Iterators open lazily, so nothing has been captured
                      yet: the judge sees the whole computation. *)
                   let monitor = Instrument.monitor (Option.get inst) in
-                  Monitor.judge monitor ~bus ~set_id spec;
+                  Monitor.judge monitor ~planted ~bus ~set_id spec;
                   let r =
                     {
                       ir_index = i;
@@ -421,36 +417,18 @@ let run_plan ~record ~step_cap plan =
       iterations = run.Oracle.evidence.Oracle.ev_iterations;
       step_cap;
       planted;
-      planted_cache;
-      planted_spec;
     },
     match flight with Some f -> Flight.dumps f | None -> [] )
 
-let execute ?(step_cap = default_step_cap) plan = fst (run_plan ~record:false ~step_cap plan)
-
-let with_planted ?grow_only ?cache ?spec ?view_change ?shed f =
-  let flags =
-    [
-      (Weakset_core.Impl_common.planted_grow_only_drop, grow_only);
-      (Cache.planted_inval_drop, cache);
-      (Weakset_spec.Visibility.planted_axiom_mutation, spec);
-      (Weakset_repl.Group.planted_view_change_drop, view_change);
-      (Node_server.planted_shed_after_apply, shed);
-    ]
-  in
-  let saved = List.map (fun (flag, _) -> !flag) flags in
-  List.iter (fun (flag, armed) -> Option.iter (( := ) flag) armed) flags;
-  Fun.protect ~finally:(fun () -> List.iter2 (fun (flag, _) v -> flag := v) flags saved) f
+let execute ?(step_cap = default_step_cap) ?(planted = Planted.none) plan =
+  fst (run_plan ~record:false ~step_cap ~planted plan)
 
 (* Runs are deterministic, so the seed is the black box: re-execute the
-   plan under the run's own step cap and planted flags with the recorder
+   plan under the run's own step cap and planted bugs with the recorder
    attached, and refuse dumps from a replay that simulated anything
    else. *)
 let blackbox r =
-  let got, dumps =
-    with_planted ~grow_only:r.planted ~cache:r.planted_cache ~spec:r.planted_spec (fun () ->
-        run_plan ~record:true ~step_cap:r.step_cap r.plan)
-  in
+  let got, dumps = run_plan ~record:true ~step_cap:r.step_cap ~planted:r.planted r.plan in
   if got.digest <> r.digest || got.events <> r.events then
     failwith
       (Printf.sprintf
@@ -459,10 +437,10 @@ let blackbox r =
          r.plan.Gen.seed got.digest got.events r.digest r.events);
   dumps
 
-let sweep ?step_cap ?(progress = fun _ _ -> ()) seeds =
+let sweep ?step_cap ?planted ?(progress = fun _ _ -> ()) seeds =
   List.map
     (fun seed ->
-      let r = execute ?step_cap (Gen.generate seed) in
+      let r = execute ?step_cap ?planted (Gen.generate seed) in
       progress seed r;
       (seed, r))
     seeds
@@ -473,9 +451,7 @@ let sweep ?step_cap ?(progress = fun _ _ -> ()) seeds =
 
 type bundle = {
   b_plan : Gen.plan;
-  b_planted : bool;
-  b_planted_cache : bool;
-  b_planted_spec : bool;
+  b_planted : Planted.t;
   b_step_cap : int;
   b_digest : string;
   b_events : int;
@@ -487,8 +463,6 @@ let bundle_of_result r =
   {
     b_plan = r.plan;
     b_planted = r.planted;
-    b_planted_cache = r.planted_cache;
-    b_planted_spec = r.planted_spec;
     b_step_cap = r.step_cap;
     b_digest = r.digest;
     b_events = r.events;
@@ -502,7 +476,8 @@ let bundle_of_result r =
 let bundle_to_json b =
   Printf.sprintf
     {|{"version":1,"planted_bug":%b,"planted_cache_bug":%b,"planted_spec_bug":%b,"step_cap":%d,"plan":%s,"digest":"%s","events":%d,"issues":[%s],"blackbox":[%s]}|}
-    b.b_planted b.b_planted_cache b.b_planted_spec b.b_step_cap (Gen.plan_to_json b.b_plan)
+    b.b_planted.grow_only_drop b.b_planted.inval_drop b.b_planted.axiom_flip b.b_step_cap
+    (Gen.plan_to_json b.b_plan)
     b.b_digest b.b_events
     (String.concat "," (List.map Oracle.issue_to_json b.b_issues))
     (String.concat ","
@@ -544,16 +519,16 @@ let bundle_of_string s =
         | Some l -> map_result Oracle.issue_of_json l
         | None -> Error "missing field \"issues\""
       in
+      (* A key absent from an older bundle (planted_spec_bug predates the
+         parametric checker) reads as unarmed. *)
+      let armed key = match Json.member key j with Some (Json.Bool b) -> b | _ -> false in
       let planted =
-        match Json.member "planted_bug" j with Some (Json.Bool b) -> b | _ -> false
-      in
-      let planted_cache =
-        match Json.member "planted_cache_bug" j with Some (Json.Bool b) -> b | _ -> false
-      in
-      (* Absent in bundles written before the parametric checker existed:
-         default to unarmed. *)
-      let planted_spec =
-        match Json.member "planted_spec_bug" j with Some (Json.Bool b) -> b | _ -> false
+        {
+          Planted.none with
+          grow_only_drop = armed "planted_bug";
+          inval_drop = armed "planted_cache_bug";
+          axiom_flip = armed "planted_spec_bug";
+        }
       in
       (* Absent in bundles written before the cap was recorded: those runs
          could only be replayed under the default cap. *)
@@ -571,8 +546,6 @@ let bundle_of_string s =
         {
           b_plan = plan;
           b_planted = planted;
-          b_planted_cache = planted_cache;
-          b_planted_spec = planted_spec;
           b_step_cap = step_cap;
           b_digest = digest;
           b_events = events;
@@ -596,14 +569,11 @@ type replay_outcome =
   | Digest_mismatch of { got : result; expected : string }
   | Verdict_mismatch of result
 
-(* The bundle records the step cap and whether each planted bug was
-   armed when the run started, so a replay in a fresh process reproduces
-   the same binary behaviour. *)
+(* The bundle records the step cap and the planted bugs the run was
+   armed with, so a replay in a fresh process reproduces the same binary
+   behaviour. *)
 let replay b =
-  let got =
-    with_planted ~grow_only:b.b_planted ~cache:b.b_planted_cache ~spec:b.b_planted_spec
-      (fun () -> execute ~step_cap:b.b_step_cap b.b_plan)
-  in
+  let got = execute ~step_cap:b.b_step_cap ~planted:b.b_planted b.b_plan in
   if got.digest <> b.b_digest || got.events <> b.b_events then
     Digest_mismatch { got; expected = b.b_digest }
   else

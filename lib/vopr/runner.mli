@@ -16,7 +16,7 @@
     run: re-executing the same plan must reproduce it byte-identically. *)
 
 (** What a run produced, and what {!blackbox} needs to replay it: the
-    plan, the step cap and the planted flags.  A run keeps no flight
+    plan, the step cap and the planted bugs.  A run keeps no flight
     recorder; its dumps are replayed from the seed on read. *)
 type result = {
   plan : Gen.plan;
@@ -30,67 +30,49 @@ type result = {
           equivalence suites can re-judge the same runs under other
           checkers *)
   step_cap : int;  (** the step cap the run executed under *)
-  planted : bool;
-      (** was {!Weakset_core.Impl_common.planted_grow_only_drop} armed
-          when the run started? *)
-  planted_cache : bool;  (** likewise for {!Weakset_store.Cache.planted_inval_drop} *)
-  planted_spec : bool;
-      (** likewise for {!Weakset_spec.Visibility.planted_axiom_mutation} *)
+  planted : Weakset_obs.Planted.t;  (** the planted bugs the run was armed with *)
 }
 
 (** Default step cap (events processed) before a run is declared a
     livelock. *)
 val default_step_cap : int
 
-(** [execute ?step_cap plan] runs [plan] under the planted flags as they
-    are now, with no flight recorder attached. *)
-val execute : ?step_cap:int -> Gen.plan -> result
-
-(** [with_planted ?grow_only ?cache ?spec ?view_change ?shed f] runs
-    [f] with each given planted-bug flag set to the given value and
-    restores all five flags afterwards, also when [f] raises.  A flag
-    not given keeps its current value during [f].  The flags are
-    {!Weakset_core.Impl_common.planted_grow_only_drop} ([grow_only]),
-    {!Weakset_store.Cache.planted_inval_drop} ([cache]),
-    {!Weakset_spec.Visibility.planted_axiom_mutation} ([spec]),
-    {!Weakset_repl.Group.planted_view_change_drop} ([view_change]) and
-    {!Weakset_store.Node_server.planted_shed_after_apply} ([shed]). *)
-val with_planted :
-  ?grow_only:bool ->
-  ?cache:bool ->
-  ?spec:bool ->
-  ?view_change:bool ->
-  ?shed:bool ->
-  (unit -> 'a) ->
-  'a
+(** [execute ?step_cap ?planted plan] runs [plan] in an engine armed
+    with [planted] (default {!Weakset_obs.Planted.none}), with no flight
+    recorder attached.  A run reads no state outside its own engine, so
+    runs on different domains do not interfere.  A VOPR plan deploys
+    neither a replication group nor admission control, so only the
+    [grow_only_drop], [inval_drop] and [axiom_flip] bugs reach it. *)
+val execute : ?step_cap:int -> ?planted:Weakset_obs.Planted.t -> Gen.plan -> result
 
 (** [blackbox r] is the flight-recorder dumps of run [r] (spec violations
     and node crashes mid-run, plus one post-run oracle verdict when the
     run failed), oldest first.  It re-executes [r.plan] under [r]'s step
-    cap and planted flags with a recorder attached, restoring the flags
-    afterwards.  The recorder emits no events, so the replay is the same
-    run and the dumps are deterministic per plan.  Raises [Failure] when
-    the replay's digest or event count differs from [r]'s, so dumps can
-    never belong to a different run. *)
+    cap and planted bugs with a recorder attached.  The recorder emits no
+    events, so the replay is the same run and the dumps are deterministic
+    per plan.  Raises [Failure] when the replay's digest or event count
+    differs from [r]'s, so dumps can never belong to a different run. *)
 val blackbox : result -> Weakset_obs.Flight.dump list
 
-(** [sweep ?step_cap ?progress seeds] generates and executes one plan per
-    seed, calling [progress] after each. *)
+(** [sweep ?step_cap ?planted ?progress seeds] generates and executes one
+    plan per seed, calling [progress] after each. *)
 val sweep :
-  ?step_cap:int -> ?progress:(int64 -> result -> unit) -> int64 list -> (int64 * result) list
+  ?step_cap:int ->
+  ?planted:Weakset_obs.Planted.t ->
+  ?progress:(int64 -> result -> unit) ->
+  int64 list ->
+  (int64 * result) list
 
 (** {1 Repro bundles} *)
 
 type bundle = {
   b_plan : Gen.plan;
-  b_planted : bool;
-      (** was {!Weakset_core.Impl_common.planted_grow_only_drop} armed when
-          the recorded run started?  {!replay} restores it for the rerun. *)
-  b_planted_cache : bool;
-      (** likewise for {!Weakset_store.Cache.planted_inval_drop} *)
-  b_planted_spec : bool;
-      (** likewise for {!Weakset_spec.Visibility.planted_axiom_mutation}
-          (absent in older bundles; parses as [false]) *)
+  b_planted : Weakset_obs.Planted.t;
+      (** the planted bugs the recorded run was armed with; {!replay}
+          arms them for the rerun.  The JSON keeps the three a VOPR plan
+          can reach: [planted_bug] ([grow_only_drop]), [planted_cache_bug]
+          ([inval_drop]) and [planted_spec_bug] ([axiom_flip]); a key
+          absent in an older bundle parses as unarmed. *)
   b_step_cap : int;
       (** the step cap the recorded run executed under; {!replay} uses
           it (absent in older bundles; parses as {!default_step_cap}) *)
@@ -105,9 +87,8 @@ type bundle = {
           in older bundles; parses as [[]]. *)
 }
 
-(** [bundle_of_result r] takes the planted flags from [r], not from the
-    flags' current values, and its dumps from {!blackbox} (one replay of
-    [r.plan]). *)
+(** [bundle_of_result r] takes the planted bugs from [r] and its dumps
+    from {!blackbox} (one replay of [r.plan]). *)
 val bundle_of_result : result -> bundle
 val bundle_to_json : bundle -> string
 val bundle_of_string : string -> (bundle, string) Stdlib.result
@@ -115,7 +96,7 @@ val write_bundle : path:string -> bundle -> unit
 val read_bundle : path:string -> (bundle, string) Stdlib.result
 
 (** Re-execute a bundle's plan under its recorded step cap and planted
-    flags and compare against its recorded digest and verdict.
+    bugs and compare against its recorded digest and verdict.
     [`Reproduced] means digest, event count and failure categories all
     match. *)
 type replay_outcome =

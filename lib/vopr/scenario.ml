@@ -106,14 +106,14 @@ let fold_members ops =
 
 type run_stats = { judged : Oracle.run; committed : int; ops_ok : int; ops_failed : int }
 
-let execute ?(step_cap = default_step_cap) scn =
+let execute ~step_cap ~planted scn =
   validate scn;
   let n = scn.replicas in
   let majority = (n / 2) + 1 in
   (* The seed is a pure function of the scenario name: every run of a
      table entry replays the same virtual history, byte for byte. *)
   let seed = Int64.of_int (Hashtbl.hash scn.name) in
-  let eng = Engine.create ~seed () in
+  let eng = Engine.create ~seed ~planted () in
   let watch = Oracle.watch eng in
   (* The extra node runs the client and no store server of its own. *)
   let w =
@@ -311,23 +311,22 @@ type outcome = {
 
 let passed o = o.o_deterministic && o.o_issues = []
 
-let run ?step_cap ?(planted = false) ?(planted_shed = false) scn =
-  Runner.with_planted ~view_change:planted ~shed:planted_shed (fun () ->
-      (* Run the whole virtual history twice: a table entry only counts
-         as passing if the replay is byte-identical. *)
-      let a = execute ?step_cap scn in
-      let b = execute ?step_cap scn in
-      let ja = a.judged and jb = b.judged in
-      {
-        o_name = scn.name;
-        o_digest = ja.Oracle.digest;
-        o_events = ja.Oracle.events;
-        o_deterministic = String.equal ja.Oracle.digest jb.Oracle.digest && ja.events = jb.events;
-        o_issues = ja.Oracle.issues;
-        o_committed = a.committed;
-        o_ops_ok = a.ops_ok;
-        o_ops_failed = a.ops_failed;
-      })
+let run ?(step_cap = default_step_cap) ?(planted = Weakset_obs.Planted.none) scn =
+  (* Run the whole virtual history twice: a table entry only counts as
+     passing if the replay is byte-identical. *)
+  let a = execute ~step_cap ~planted scn in
+  let b = execute ~step_cap ~planted scn in
+  let ja = a.judged and jb = b.judged in
+  {
+    o_name = scn.name;
+    o_digest = ja.Oracle.digest;
+    o_events = ja.Oracle.events;
+    o_deterministic = String.equal ja.Oracle.digest jb.Oracle.digest && ja.events = jb.events;
+    o_issues = ja.Oracle.issues;
+    o_committed = a.committed;
+    o_ops_ok = a.ops_ok;
+    o_ops_failed = a.ops_failed;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The table.                                                         *)

@@ -69,14 +69,14 @@ type outcome = {
 
 val passed : outcome -> bool
 
-(** [run scn] executes [scn] twice and judges it.  [planted] arms
-    {!Weakset_repl.Group.planted_view_change_drop} for the duration —
-    the commit-safety verdicts must then fire on any scenario that
-    elects a new leader with traffic in flight.  [planted_shed] arms
-    {!Weakset_store.Node_server.planted_shed_after_apply} — the oracle's
-    shed-divergence verdict must then fire on any scenario that sheds a
+(** [run ?step_cap ?planted scn] executes [scn] twice, each time in an
+    engine armed with [planted] (default {!Weakset_obs.Planted.none}),
+    and judges it.  With [view_change_drop] armed the commit-safety
+    verdicts must fire on any scenario that elects a new leader with
+    traffic in flight; with [shed_after_apply] armed the oracle's
+    shed-divergence verdict must fire on any scenario that sheds a
     mutation (e.g. [retry-storm]). *)
-val run : ?step_cap:int -> ?planted:bool -> ?planted_shed:bool -> t -> outcome
+val run : ?step_cap:int -> ?planted:Weakset_obs.Planted.t -> t -> outcome
 
 (** The shipped table (≥ 12 rows, all expected to pass unplanted). *)
 val table : t list

@@ -30,8 +30,8 @@ type cluster = {
    installs the directory directly; pass [false] when the test
    provisions through {!Weak_set.provision} instead. *)
 let make_cluster ?(seed = 77L) ?(n = 3) ?(capacity = 8) ?(dir_service = 10.0)
-    ?(host = true) () =
-  let eng = Engine.create ~seed () in
+    ?(host = true) ?planted () =
+  let eng = Engine.create ~seed ?planted () in
   let topo = Topology.create () in
   let nodes = Topology.clique topo n ~latency:1.0 in
   let rpc = Rpc.create eng topo in
@@ -275,50 +275,50 @@ let test_backoff_deterministic () =
    the same schedule leaks the add — proving this test (and the VOPR
    shed-divergence oracle built on the same premise) can convict. *)
 let shed_add_run ~planted =
-  Weakset_vopr.Runner.with_planted ~shed:planted (fun () ->
-      let cl = make_cluster ~host:false () in
-      let sref =
-        Weak_set.provision ~set_id ~coordinator_server:cl.servers.(0)
-          ~semantics:Semantics.snapshot ()
+  let planted = { Weakset_obs.Planted.none with shed_after_apply = planted } in
+  let cl = make_cluster ~planted ~host:false () in
+  let sref =
+    Weak_set.provision ~set_id ~coordinator_server:cl.servers.(0)
+      ~semantics:Semantics.snapshot ()
+  in
+  for num = 1 to 5 do
+    let oid = Oid.make ~num ~home:cl.nodes.(1) in
+    Node_server.put_object cl.servers.(1) oid (Svalue.make (Printf.sprintf "m%d" num));
+    ignore
+      (Directory.apply
+         (Node_server.directory_truth cl.servers.(0) ~set_id)
+         (Directory.Add oid))
+  done;
+  let truth = Node_server.directory_truth cl.servers.(0) ~set_id in
+  let v0 = Directory.version truth in
+  iter_fillers cl 7;
+  let straggler = Oid.make ~num:9002 ~home:cl.nodes.(1) in
+  let shed_result = ref None in
+  Engine.spawn cl.eng ~name:"shed-adder" (fun () ->
+      let c = Client.create cl.rpc cl.nodes.(2) in
+      Engine.sleep cl.eng 0.5;
+      shed_result := Some (Client.dir_add c sref straggler));
+  let verdict = ref None in
+  Engine.spawn cl.eng ~name:"reader" (fun () ->
+      Engine.sleep cl.eng 150.0;
+      let c = Client.with_timeout (Client.create cl.rpc cl.nodes.(2)) 1_000.0 in
+      let handle =
+        Weak_set.make ~coordinator_server:cl.servers.(0) c sref Semantics.snapshot
       in
-      for num = 1 to 5 do
-        let oid = Oid.make ~num ~home:cl.nodes.(1) in
-        Node_server.put_object cl.servers.(1) oid (Svalue.make (Printf.sprintf "m%d" num));
-        ignore
-          (Directory.apply
-             (Node_server.directory_truth cl.servers.(0) ~set_id)
-             (Directory.Add oid))
-      done;
-      let truth = Node_server.directory_truth cl.servers.(0) ~set_id in
-      let v0 = Directory.version truth in
-      iter_fillers cl 7;
-      let straggler = Oid.make ~num:9002 ~home:cl.nodes.(1) in
-      let shed_result = ref None in
-      Engine.spawn cl.eng ~name:"shed-adder" (fun () ->
-          let c = Client.create cl.rpc cl.nodes.(2) in
-          Engine.sleep cl.eng 0.5;
-          shed_result := Some (Client.dir_add c sref straggler));
-      let verdict = ref None in
-      Engine.spawn cl.eng ~name:"reader" (fun () ->
-          Engine.sleep cl.eng 150.0;
-          let c = Client.with_timeout (Client.create cl.rpc cl.nodes.(2)) 1_000.0 in
-          let handle =
-            Weak_set.make ~coordinator_server:cl.servers.(0) c sref Semantics.snapshot
-          in
-          let iter, inst = Weak_set.elements ~instrument:true handle in
-          let _yields, _ending = Iterator.drain ~limit:100 iter in
-          verdict :=
-            Option.map
-              (fun i ->
-                Weakset_spec.Figures.verdict_ok
-                  (Weakset_spec.Figures.check Weakset_spec.Figures.fig4
-                     (Instrument.computation i)))
-              inst);
-      Engine.run_and_check cl.eng;
-      (match !shed_result with
-      | Some (Error Client.Overloaded) -> ()
-      | _ -> Alcotest.fail "the probe Dir_add must be shed at depth 7");
-      (Oid.Set.mem straggler (Directory.members truth), Directory.version truth, v0, !verdict))
+      let iter, inst = Weak_set.elements ~instrument:true handle in
+      let _yields, _ending = Iterator.drain ~limit:100 iter in
+      verdict :=
+        Option.map
+          (fun i ->
+            Weakset_spec.Figures.verdict_ok
+              (Weakset_spec.Figures.check Weakset_spec.Figures.fig4
+                 (Instrument.computation i)))
+          inst);
+  Engine.run_and_check cl.eng;
+  (match !shed_result with
+  | Some (Error Client.Overloaded) -> ()
+  | _ -> Alcotest.fail "the probe Dir_add must be shed at depth 7");
+  (Oid.Set.mem straggler (Directory.members truth), Directory.version truth, v0, !verdict)
 
 let test_shed_mutation_clean_noop () =
   let leaked, v_after, v0, verdict = shed_add_run ~planted:false in

@@ -120,8 +120,8 @@ let verdict_line key spec verdict =
 let pinned spec = spec.Visibility.anchor <> Visibility.Snapshot
 let pinned_specs = List.filter pinned Figures.all_specs
 
-let verdict_lines key comp =
-  List.map (fun spec -> verdict_line key spec (Figures.check spec comp)) pinned_specs
+let verdict_lines ?planted key comp =
+  List.map (fun spec -> verdict_line key spec (Figures.check ?planted spec comp)) pinned_specs
 
 let read_golden prefix =
   In_channel.with_open_text golden_file In_channel.input_all
@@ -166,9 +166,11 @@ let hand_traces =
       build ~s0:[ 1; 2; 3 ] [ Yield 1; Mut_remove 2; Yield 3; Ret ] );
   ]
 
-let hand_lines () =
+let hand_lines ?planted () =
   List.concat
-    (List.mapi (fun i (_, comp) -> verdict_lines (Printf.sprintf "hand %d" i) comp) hand_traces)
+    (List.mapi
+       (fun i (_, comp) -> verdict_lines ?planted (Printf.sprintf "hand %d" i) comp)
+       hand_traces)
 
 let test_hand_corpus () = check_lines "hand" (hand_lines ())
 
@@ -178,7 +180,7 @@ let test_hand_corpus () = check_lines "hand" (hand_lines ())
    the VOPR mutation test checks end to end. *)
 let test_planted_breaks_equivalence () =
   let golden = read_golden "hand" in
-  let armed = Weakset_vopr.Runner.with_planted ~spec:true hand_lines in
+  let armed = hand_lines ~planted:{ Weakset_obs.Planted.none with axiom_flip = true } () in
   Alcotest.(check bool) "armed axiom flip diverges from the golden verdicts" false (golden = armed);
   Alcotest.(check bool) "disarmed, the golden verdicts hold again" true (golden = hand_lines ())
 

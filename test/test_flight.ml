@@ -381,24 +381,26 @@ let test_slo_alert_triggers_flight_debounced () =
 (* End to end through the VOPR runner                                  *)
 (* ------------------------------------------------------------------ *)
 
+let grow_only_drop = { Weakset_obs.Planted.none with grow_only_drop = true }
+
 (* First seed in the CI smoke range whose planted-bug run fails. *)
 let failing_planted =
   lazy
     (let rec scan seed =
        if seed >= 33L then Alcotest.fail "no failing planted-bug seed in 0..32"
        else
-         let r = Runner.execute (Gen.generate seed) in
+         let r = Runner.execute ~planted:grow_only_drop (Gen.generate seed) in
          if r.Runner.issues <> [] then (seed, r) else scan (Int64.add seed 1L)
      in
-     Runner.with_planted ~grow_only:true (fun () -> scan 0L))
+     scan 0L)
 
 let test_vopr_blackbox_end_to_end () =
   let seed, r = Lazy.force failing_planted in
-  (* The planted flag is off again: the replay must arm it from [r]. *)
+  (* The replay must arm the bug from [r]. *)
   let dumps = Runner.blackbox r in
   checkb "failing run carries dumps" true (dumps <> []);
   (* Byte-identical across replays of the same seed. *)
-  let r2 = Runner.with_planted ~grow_only:true (fun () -> Runner.execute (Gen.generate seed)) in
+  let r2 = Runner.execute ~planted:grow_only_drop (Gen.generate seed) in
   check
     (Alcotest.list Alcotest.string)
     "dumps byte-identical across replays"
@@ -421,9 +423,9 @@ let test_vopr_blackbox_end_to_end () =
             (Flight.tail_exemplars p.Flight.p_metrics))
     dumps;
   checkb "an exemplar resolves to a recorded span" true (!resolved > 0);
-  (* The bundle records the flags the run had, not the current ones. *)
+  (* The bundle records the bugs the run was armed with. *)
   let b = Runner.bundle_of_result r in
-  checkb "bundle records the run's planted flag" true b.Runner.b_planted;
+  checkb "bundle records the run's planted bug" true b.Runner.b_planted.grow_only_drop;
   (* Dumps ride inside repro bundles and round-trip byte-exactly. *)
   match Runner.bundle_of_string (Runner.bundle_to_json b) with
   | Error m -> Alcotest.fail m
@@ -434,22 +436,29 @@ let test_vopr_blackbox_end_to_end () =
         b.Runner.b_blackbox b'.Runner.b_blackbox
 
 (* Dumps are replayed from the seed, so the replay must be the same run:
-   a result whose digest no replay can reach is refused, and the dumps do
-   not depend on the planted flag's value at read time. *)
+   a result whose digest no replay can reach is refused, and so is an
+   armed run stripped of its planted bug.  With nothing armed anywhere
+   but in [r], the replay arms the bug from [r], reaches [r]'s digest
+   and ends in the oracle's verdict on [r]'s failure, the same dumps on
+   every read. *)
 let test_vopr_blackbox_replay_guard () =
-  let flag = Weakset_core.Impl_common.planted_grow_only_drop in
   let _seed, r = Lazy.force failing_planted in
-  (match Runner.blackbox { r with Runner.digest = "0" } with
-  | exception (Failure _ | Invalid_argument _) -> ()
-  | _ -> Alcotest.fail "blackbox accepted a diverging replay");
-  let json armed =
-    Runner.with_planted ~grow_only:armed (fun () ->
-        let dumps = List.map (fun d -> d.Flight.d_json) (Runner.blackbox r) in
-        checkb "flag restored after blackbox" armed !flag;
-        dumps)
+  let refused r' =
+    match Runner.blackbox r' with
+    | exception (Failure _ | Invalid_argument _) -> true
+    | _ -> false
   in
-  check (Alcotest.list Alcotest.string) "dumps independent of the flag at read time" (json true)
-    (json false)
+  checkb "diverging digest refused" true (refused { r with Runner.digest = "0" });
+  checkb "disarmed replay refused" true
+    (refused { r with Runner.planted = Weakset_obs.Planted.none });
+  let dumps = Runner.blackbox r in
+  checkb "the replay convicts like the run" true
+    (List.exists
+       (fun d -> match d.Flight.d_cause with Flight.Oracle_verdict _ -> true | _ -> false)
+       dumps);
+  let json = List.map (fun d -> d.Flight.d_json) in
+  check (Alcotest.list Alcotest.string) "dumps reproduce on every read" (json dumps)
+    (json (Runner.blackbox r))
 
 let () =
   Alcotest.run "weakset_flight"

@@ -448,7 +448,9 @@ let test_planted_commit_bug_is_caught () =
   match Scenario.find "double-failover" with
   | None -> Alcotest.fail "double-failover missing from the table"
   | Some row ->
-      let o = Scenario.run ~planted:true row in
+      let o =
+        Scenario.run ~planted:{ Weakset_obs.Planted.none with view_change_drop = true } row
+      in
       let cats = categories o.Scenario.o_issues in
       check_bool "commit-safety verdict fired" true
         (List.mem "commit-lost" cats || List.mem "commit-reordered" cats)

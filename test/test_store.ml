@@ -668,10 +668,24 @@ let test_nearest_dir_host () =
   Topology.set_node_up topo far false;
   check_bool "none reachable" true (Client.nearest_dir_host client sref = None)
 
+(* Lock owners come from the engine, so two clients of one run never
+   share one, and a second engine numbers its own from scratch. *)
 let test_client_owner_tokens_unique () =
-  let a = Client.fresh_owner () in
-  let b = Client.fresh_owner () in
-  check_bool "unique" true (a <> b)
+  let cl = make_cluster () in
+  Node_server.host_directory cl.servers.(0) ~set_id:7 ~policy:Node_server.Immediate;
+  let sref = sref cl in
+  let owners =
+    in_fiber cl (fun () ->
+        List.map
+          (fun i ->
+            match Client.lock_acquire (Client.create cl.rpc cl.nodes.(i)) sref Lockmgr.Read with
+            | Ok o -> o
+            | Error e -> Alcotest.failf "acquire: %s" (Client.error_to_string e))
+          [ 1; 2 ])
+  in
+  check_bool "unique" true (List.nth owners 0 <> List.nth owners 1);
+  check_bool "drawn from the engine" true (Engine.fresh_token cl.eng = 3);
+  check_int "a fresh engine starts over" 1 (Engine.fresh_token (Engine.create ()))
 
 let test_lock_rpc_roundtrip () =
   let cl = make_cluster () in

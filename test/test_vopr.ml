@@ -8,6 +8,7 @@ module Gen = Weakset_vopr.Gen
 module Runner = Weakset_vopr.Runner
 module Oracle = Weakset_vopr.Oracle
 module Shrink = Weakset_vopr.Shrink
+module Planted = Weakset_obs.Planted
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -131,104 +132,118 @@ let test_replay_keeps_step_cap () =
 (* ------------------------------------------------------------------ *)
 
 let test_swarm_clean_without_bug () =
-  Runner.with_planted ~grow_only:false (fun () ->
-      List.iter
-        (fun (seed, r) ->
-          if r.Runner.issues <> [] then
-            Alcotest.failf "seed %Ld flagged a healthy build: %s" seed
-              (String.concat "; " (List.map Oracle.describe r.Runner.issues)))
-        (Runner.sweep mutation_range))
+  List.iter
+    (fun (seed, r) ->
+      if r.Runner.issues <> [] then
+        Alcotest.failf "seed %Ld flagged a healthy build: %s" seed
+          (String.concat "; " (List.map Oracle.describe r.Runner.issues)))
+    (Runner.sweep mutation_range)
 
-let test_swarm_finds_shrinks_and_replays_planted_bug () =
-  Runner.with_planted ~grow_only:true (fun () ->
-      let failures =
-        List.filter (fun (_, r) -> r.Runner.issues <> []) (Runner.sweep mutation_range)
-      in
-      check_bool "planted bug found within 64 seeds" true (failures <> []);
-      (* Shrink the first failure to a handful of schedule events. *)
-      let _, failing = List.hd failures in
-      let shrunk, issues, stats =
-        Shrink.minimize
-          ~run:(fun p -> (Runner.execute p).Runner.issues)
-          ~issues:failing.Runner.issues failing.Runner.plan
-      in
-      check_bool "shrunk to at most 10 events" true (Gen.event_count shrunk <= 10);
-      check_int "stats report the shrunk size" (Gen.event_count shrunk) stats.Shrink.final_events;
-      check_bool "shrunk plan still fails the same way" true
-        (Oracle.same_failure failing.Runner.issues issues);
-      (* The shrunk repro bundle replays byte-identically. *)
-      let result = Runner.execute shrunk in
-      match Runner.replay (Runner.bundle_of_result result) with
-      | Runner.Reproduced r ->
-          check_bool "replay reports the same failure" true
-            (Oracle.same_failure result.Runner.issues r.Runner.issues)
-      | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch replaying shrunk bundle"
-      | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch replaying shrunk bundle")
+(* One mutation test: with [planted] armed, a seed in the 64-seed budget
+   must fail with an issue of [category] (any category when [None]), its
+   failure must shrink to a handful of schedule events, and the shrunk
+   repro bundle must replay byte-identically with the same failure. *)
+let finds_shrinks_and_replays ?category planted () =
+  let convicts issues =
+    match category with
+    | None -> issues <> []
+    | Some c -> List.exists (fun i -> Oracle.category i = c) issues
+  in
+  let failures =
+    List.filter (fun (_, r) -> convicts r.Runner.issues) (Runner.sweep ~planted mutation_range)
+  in
+  check_bool "planted bug found within 64 seeds" true (failures <> []);
+  let _, failing = List.hd failures in
+  let execute p = Runner.execute ~planted p in
+  let shrunk, issues, stats =
+    Shrink.minimize
+      ~run:(fun p -> (execute p).Runner.issues)
+      ~issues:failing.Runner.issues failing.Runner.plan
+  in
+  check_bool "shrunk to at most 10 events" true (Gen.event_count shrunk <= 10);
+  check_int "stats report the shrunk size" (Gen.event_count shrunk) stats.Shrink.final_events;
+  check_bool "shrunk plan still fails the same way" true
+    (Oracle.same_failure failing.Runner.issues issues);
+  let result = execute shrunk in
+  match Runner.replay (Runner.bundle_of_result result) with
+  | Runner.Reproduced r ->
+      check_bool "replay reports the same failure" true
+        (Oracle.same_failure result.Runner.issues r.Runner.issues)
+  | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch replaying shrunk bundle"
+  | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch replaying shrunk bundle"
+
+let test_swarm_finds_shrinks_and_replays_planted_bug =
+  finds_shrinks_and_replays { Planted.none with grow_only_drop = true }
 
 (* The second half of the mutation test: drop wire [Inval] callbacks on
    the floor and the cache oracle must convict the cache layer — the
-   [Stale_beyond_lease] verdict, not some incidental failure — within
-   the same 64-seed budget, and the failure must shrink and replay like
-   any other. *)
-let test_swarm_finds_shrinks_and_replays_planted_cache_bug () =
-  Runner.with_planted ~cache:true (fun () ->
-      let stale issues =
-        List.exists (fun i -> Oracle.category i = "stale-beyond-lease") issues
-      in
-      let failures =
-        List.filter (fun (_, r) -> stale r.Runner.issues) (Runner.sweep mutation_range)
-      in
-      check_bool "planted cache bug found within 64 seeds" true (failures <> []);
-      let _, failing = List.hd failures in
-      let shrunk, issues, stats =
-        Shrink.minimize
-          ~run:(fun p -> (Runner.execute p).Runner.issues)
-          ~issues:failing.Runner.issues failing.Runner.plan
-      in
-      check_bool "shrunk to at most 10 events" true (Gen.event_count shrunk <= 10);
-      check_int "stats report the shrunk size" (Gen.event_count shrunk) stats.Shrink.final_events;
-      check_bool "shrunk plan still fails the same way" true
-        (Oracle.same_failure failing.Runner.issues issues);
-      let result = Runner.execute shrunk in
-      match Runner.replay (Runner.bundle_of_result result) with
-      | Runner.Reproduced r ->
-          check_bool "replay reports the same failure" true
-            (Oracle.same_failure result.Runner.issues r.Runner.issues)
-      | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch replaying shrunk bundle"
-      | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch replaying shrunk bundle")
+   [Stale_beyond_lease] verdict, not some incidental failure. *)
+let test_swarm_finds_shrinks_and_replays_planted_cache_bug =
+  finds_shrinks_and_replays ~category:"stale-beyond-lease"
+    { Planted.none with inval_drop = true }
 
 (* The third mutation test aims at the checker itself: flip the shared
    membership axiom inside the parametric visibility engine and the
    swarm must convict the spec layer — a [Spec_violation], since every
-   honest yield now reads as illegal — within the same 64-seed budget,
-   shrinking and replaying like any other failure.  This is what makes
-   the one-engine refactor safe: a single mutated axiom cannot hide. *)
-let test_swarm_finds_shrinks_and_replays_planted_spec_bug () =
-  Runner.with_planted ~spec:true (fun () ->
-      let spec_viol issues =
-        List.exists (fun i -> Oracle.category i = "spec-violation") issues
+   honest yield now reads as illegal.  This is what makes the one-engine
+   refactor safe: a single mutated axiom cannot hide. *)
+let test_swarm_finds_shrinks_and_replays_planted_spec_bug =
+  finds_shrinks_and_replays ~category:"spec-violation" { Planted.none with axiom_flip = true }
+
+(* A run reads nothing outside its own engine, so two domains sweeping
+   the smoke range at once, one with the grow-only drop armed and one
+   unarmed, must each reproduce the same sweep made alone: seed for seed
+   the same digest, event count and issues. *)
+let test_parallel_runs_match_sequential () =
+  let range = seeds 0 33 in
+  let armed = { Planted.none with grow_only_drop = true } in
+  let sweep planted = List.map snd (Runner.sweep ~planted range) in
+  let sequential = List.map sweep [ armed; Planted.none ] in
+  let parallel =
+    List.map (fun p -> Domain.spawn (fun () -> sweep p)) [ armed; Planted.none ]
+    |> List.map Domain.join
+  in
+  List.iter2
+    (List.iter2 (fun (s : Runner.result) (p : Runner.result) ->
+         check_string "digest" s.digest p.digest;
+         check_int "events" s.events p.events;
+         check_bool "issues" true (s.issues = p.issues)))
+    sequential parallel;
+  let failing rs = List.length (List.filter (fun (r : Runner.result) -> r.issues <> []) rs) in
+  check_bool "the armed sweep convicts" true (failing (List.hd parallel) > 0);
+  check_int "the unarmed sweep is clean" 0 (failing (List.nth parallel 1))
+
+(* A missing output directory is refused while the arguments are parsed:
+   exit 2 with the usage on stderr, before any seed or row runs. *)
+let test_cli_refuses_missing_dirs () =
+  let missing = "no-such-dir" in
+  check_bool "the directory is missing" false (Sys.file_exists missing);
+  let contains s sub =
+    let n = String.length sub in
+    let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (args, flag) ->
+      let out = Filename.temp_file "vopr" ".out" and err = Filename.temp_file "vopr" ".err" in
+      let code =
+        Sys.command
+          (Printf.sprintf "../bin/weakset_vopr.exe %s %s %s > %s 2> %s" args flag missing
+             (Filename.quote out) (Filename.quote err))
       in
-      let failures =
-        List.filter (fun (_, r) -> spec_viol r.Runner.issues) (Runner.sweep mutation_range)
-      in
-      check_bool "planted spec bug found within 64 seeds" true (failures <> []);
-      let _, failing = List.hd failures in
-      let shrunk, issues, stats =
-        Shrink.minimize
-          ~run:(fun p -> (Runner.execute p).Runner.issues)
-          ~issues:failing.Runner.issues failing.Runner.plan
-      in
-      check_bool "shrunk to at most 10 events" true (Gen.event_count shrunk <= 10);
-      check_int "stats report the shrunk size" (Gen.event_count shrunk) stats.Shrink.final_events;
-      check_bool "shrunk plan still fails the same way" true
-        (Oracle.same_failure failing.Runner.issues issues);
-      let result = Runner.execute shrunk in
-      match Runner.replay (Runner.bundle_of_result result) with
-      | Runner.Reproduced r ->
-          check_bool "replay reports the same failure" true
-            (Oracle.same_failure result.Runner.issues r.Runner.issues)
-      | Runner.Digest_mismatch _ -> Alcotest.fail "digest mismatch replaying shrunk bundle"
-      | Runner.Verdict_mismatch _ -> Alcotest.fail "verdict mismatch replaying shrunk bundle")
+      let read f = In_channel.with_open_text f In_channel.input_all in
+      let stdout = read out and stderr = read err in
+      Sys.remove out;
+      Sys.remove err;
+      check_int (flag ^ ": exit code") 2 code;
+      check_string (flag ^ ": nothing ran") "" stdout;
+      check_bool (flag ^ ": names the flag") true (contains stderr (flag ^ " expects"));
+      check_bool (flag ^ ": prints the usage") true (contains stderr "usage: weakset_vopr"))
+    [
+      ("run --seeds 0..33 --planted-bug --no-shrink --quiet", "--bundle-dir");
+      ("run --seeds 0..33 --planted-bug --no-shrink --quiet", "--blackbox-dir");
+      ("scenarios --only retry-storm --planted-shed-bug --quiet", "--bundle-dir");
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Shrink: unit tests against synthetic run predicates                *)
@@ -396,6 +411,8 @@ let () =
             test_swarm_finds_shrinks_and_replays_planted_cache_bug;
           Alcotest.test_case "finds, shrinks, replays planted spec bug" `Quick
             test_swarm_finds_shrinks_and_replays_planted_spec_bug;
+          Alcotest.test_case "two domains match sequential runs" `Quick
+            test_parallel_runs_match_sequential;
         ] );
       ( "shrink",
         [
@@ -412,5 +429,10 @@ let () =
           Alcotest.test_case "issue JSON roundtrip" `Quick test_oracle_issue_json_roundtrip;
           Alcotest.test_case "same_failure = category overlap" `Quick
             test_oracle_same_failure_is_category_overlap;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "missing output directory refused up front" `Quick
+            test_cli_refuses_missing_dirs;
         ] );
     ]
