@@ -1,10 +1,15 @@
 (** Streaming digest of an event stream.
 
-    Feeds each event's canonical rendering into a chained MD5, so the
-    final {!value} fingerprints the entire ordered stream in O(1) space.
-    Two runs of the deterministic simulator with the same seed must
-    produce byte-identical digests — the invariant every fault-injection
-    and performance PR asserts against. *)
+    Appends each event's binary encoding ({!Event.write_binary}) to a
+    pending chunk and chains MD5 over whole chunks: starting from
+    [md5 "obs-trace-v2"], [state' = md5(state ^ chunk)] each time a fed
+    event leaves at least 4 KiB pending.  {!value} is [md5(state ^
+    pending)], computed without consuming the pending bytes, so reading
+    it mid-stream never changes the final value.  The final {!value}
+    fingerprints the entire ordered stream in O(1) space.  Two runs of
+    the deterministic simulator with the same seed must produce
+    byte-identical digests — the invariant every fault-injection and
+    performance PR asserts against. *)
 
 type t
 
