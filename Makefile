@@ -109,12 +109,18 @@ admission-smoke:
 # planted grow-only bug, the planted cache Inval drop and the planted
 # membership-axiom flip in the parametric checker must each be caught
 # within the same seed range.  Repro bundles for any failure land in
-# vopr-bundles/ (CI uploads them).
+# vopr-bundles/ (CI uploads them).  The planted grow-only run writes its
+# bundles to vopr-bundles/planted/, and replaying one of them must
+# reproduce its digest and verdict: bundle write, read and replay in one
+# pass.
 vopr-smoke:
-	rm -rf vopr-bundles && mkdir -p vopr-bundles
+	rm -rf vopr-bundles && mkdir -p vopr-bundles/planted
 	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --bundle-dir vopr-bundles --quiet
-	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --planted-bug --no-shrink --quiet; \
+	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --planted-bug --no-shrink --quiet \
+	  --bundle-dir vopr-bundles/planted; \
 	  test $$? -eq 1 || { echo "vopr-smoke: planted bug was NOT detected"; exit 1; }
+	dune exec bin/weakset_vopr.exe -- replay \
+	  $$(ls vopr-bundles/planted/vopr-seed-*.json | head -n 1)
 	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --planted-cache-bug --no-shrink --quiet; \
 	  test $$? -eq 1 || { echo "vopr-smoke: planted cache bug was NOT detected"; exit 1; }
 	dune exec bin/weakset_vopr.exe -- run --seeds 0..32 --planted-spec-bug --no-shrink --quiet; \
@@ -157,8 +163,8 @@ blackbox-smoke:
 # so a host-speed change that alters behaviour fails here.  overload runs
 # optimistic iterations under balanced churn, so its iterators rebuild
 # their candidate pools on every directory version change.  failover
-# attaches a digest to every row, so it also runs the canonical event
-# writer.
+# digests every row twice, so it also runs the binary event writer and
+# the digest's chunk chain.
 perf-smoke:
 	dune exec perf/weakset_perf.exe -- --workload wide --seed 0 --seconds 1 > /dev/null
 	dune exec perf/weakset_perf.exe -- --workload deep --seed 0 --seconds 1 > /dev/null

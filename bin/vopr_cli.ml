@@ -79,9 +79,14 @@ let int_arg flag v =
 
 (* Output directories are checked before any run starts, so a bad one
    cannot cost a finished sweep. *)
+let is_dir v = Sys.file_exists v && Sys.is_directory v
+
 let dir_arg flag v =
-  if Sys.file_exists v && Sys.is_directory v then v
-  else usage_die "%s expects an existing directory, got %S" flag v
+  if is_dir v then v else usage_die "%s expects an existing directory, got %S" flag v
+
+let out_file_arg flag v =
+  if is_dir (Filename.dirname v) then v
+  else usage_die "%s expects a file in an existing directory, got %S" flag v
 
 (* Every planted-bug flag, the command that takes it and the bug it arms. *)
 let planted_flags =
@@ -281,7 +286,7 @@ let parse_shrink_args args =
         o.s_max_runs <- Some (int_arg "--max-runs" v);
         go rest
     | "-o" :: v :: rest ->
-        o.s_out <- Some v;
+        o.s_out <- Some (out_file_arg "-o" v);
         go rest
     | [ (("--max-runs" | "-o") as flag) ] -> usage_die "%s expects an argument" flag
     | a :: _ when String.length a > 0 && a.[0] = '-' -> usage_die "shrink: unknown option %S" a
@@ -368,14 +373,17 @@ let parse_scenario_args args =
   o
 
 (* A scenario failure's repro bundle: the row is the schedule (re-run it
-   with --only), so the bundle only needs the verdict and fingerprint. *)
-let write_scenario_bundle dir (o : Scenario.outcome) =
+   with --only and the recorded planted flags), so the bundle only needs
+   the bugs it was armed with, the verdict and the fingerprint. *)
+let write_scenario_bundle dir (planted : Planted.t) (o : Scenario.outcome) =
   let path = Filename.concat dir (Printf.sprintf "scenario-%s.json" o.o_name) in
   let oc = open_out path in
   Printf.fprintf oc
-    "{\"scenario\": %S, \"digest\": %S, \"events\": %d, \"deterministic\": %b, \
+    "{\"version\": %d, \"scenario\": %S, \"planted_commit_bug\": %b, \
+     \"planted_shed_bug\": %b, \"digest\": %S, \"events\": %d, \"deterministic\": %b, \
      \"committed\": %d, \"ops_ok\": %d, \"ops_failed\": %d, \"issues\": [%s]}\n"
-    o.o_name o.o_digest o.o_events o.o_deterministic o.o_committed o.o_ops_ok o.o_ops_failed
+    Runner.bundle_version o.o_name planted.view_change_drop planted.shed_after_apply o.o_digest
+    o.o_events o.o_deterministic o.o_committed o.o_ops_ok o.o_ops_failed
     (String.concat ", " (List.map Oracle.issue_to_json o.o_issues));
   close_out oc;
   path
@@ -412,7 +420,7 @@ let cmd_scenarios args =
       if not ok then
         Option.iter
           (fun dir ->
-            let path = write_scenario_bundle dir outcome in
+            let path = write_scenario_bundle dir o.sc_planted outcome in
             Printf.printf "  bundle: %s\n%!" path)
           o.sc_bundle_dir)
     rows;

@@ -513,6 +513,80 @@ let json_roundtrip_property =
       | Error m -> QCheck.Test.fail_reportf "parse error: %s" m)
 
 (* ------------------------------------------------------------------ *)
+(* Digest: the binary chain                                           *)
+(* ------------------------------------------------------------------ *)
+
+let digest1 e = Obs.Digest.of_events [ e ]
+
+(* Canonical renderings are injective, so events they tell apart are
+   different events, and the binary encoding must tell them apart too. *)
+let digest_separates_events_property =
+  QCheck.Test.make ~count:1000 ~name:"different canonical renderings, different digests"
+    (QCheck.make
+       ~print:(fun (a, b) -> Obs.Event.to_canonical a ^ " / " ^ Obs.Event.to_canonical b)
+       QCheck.Gen.(pair gen_event gen_event))
+    (fun (a, b) ->
+      Obs.Event.to_canonical a = Obs.Event.to_canonical b || digest1 a <> digest1 b)
+
+(* Lengths prefix strings and lists, so moving a boundary changes the
+   bytes even when the concatenated contents do not. *)
+let test_digest_string_and_list_boundaries () =
+  let open Obs.Event in
+  let ev kind = { seq = 0; time = 1.0; kind } in
+  check_bool "where a string ends" true
+    (digest1 (ev (Custom { label = "ab"; detail = "c" }))
+    <> digest1 (ev (Custom { label = "a"; detail = "bc" })));
+  let x = { elem_id = 1; elem_label = "x" } in
+  let observe s accessible = ev (Spec_observe { set_id = 1; phase = Phase_first; s; accessible }) in
+  check_bool "where a list ends" true
+    (digest1 (observe [ x ] []) <> digest1 (observe [] [ x ]))
+
+(* A stream long enough to cross many 4 KiB chunk boundaries. *)
+let long_stream =
+  lazy
+    (let events =
+       QCheck.Gen.generate ~rand:(Random.State.make [| 27 |]) ~n:2000 gen_event
+       |> List.mapi (fun i e -> { e with Obs.Event.seq = i })
+     in
+     let b = Buffer.create 65536 in
+     List.iter (Obs.Event.write_binary b) events;
+     check_bool "crosses several chunk boundaries" true (Buffer.length b > 8 * 4096);
+     Array.of_list events)
+
+let test_digest_one_field_changes_value () =
+  let events = Lazy.force long_stream in
+  let base = Obs.Digest.of_events (Array.to_list events) in
+  let n = Array.length events in
+  List.iter
+    (fun k ->
+      let with_k e = Array.to_list (Array.mapi (fun i e' -> if i = k then e else e') events) in
+      let e = events.(k) in
+      check_bool (Printf.sprintf "seq of event %d" k) true
+        (Obs.Digest.of_events (with_k { e with seq = e.seq + 1 }) <> base);
+      check_bool (Printf.sprintf "time of event %d" k) true
+        (Obs.Digest.of_events (with_k { e with time = Float.succ e.time }) <> base))
+    [ 0; 1; n / 3; n / 2; n - 2; n - 1 ]
+
+(* [value] hashes the pending bytes without consuming them: reading it
+   after every event yields each prefix's digest and leaves the final
+   value as if it had never been read. *)
+let test_digest_value_mid_stream () =
+  let events = Array.to_list (Lazy.force long_stream) in
+  let d = Obs.Digest.create () in
+  List.iteri
+    (fun i e ->
+      Obs.Digest.feed d e;
+      let v = Obs.Digest.value d in
+      if i mod 97 = 0 then
+        check_string
+          (Printf.sprintf "value after %d events = digest of that prefix" (i + 1))
+          (Obs.Digest.of_events (List.filteri (fun j _ -> j <= i) events))
+          v)
+    events;
+  check_int "count" (List.length events) (Obs.Digest.count d);
+  check_string "final value unchanged by reads" (Obs.Digest.of_events events) (Obs.Digest.value d)
+
+(* ------------------------------------------------------------------ *)
 (* Buffer writers = the Printf/Format renderings they replaced         *)
 (* ------------------------------------------------------------------ *)
 
@@ -878,6 +952,13 @@ let () =
           Alcotest.test_case "same seed, identical digest" `Quick test_same_seed_same_digest;
           Alcotest.test_case "different seed, different digest" `Quick
             test_different_seed_different_digest;
+          QCheck_alcotest.to_alcotest digest_separates_events_property;
+          Alcotest.test_case "string and list boundaries" `Quick
+            test_digest_string_and_list_boundaries;
+          Alcotest.test_case "one field of one event changes the value" `Quick
+            test_digest_one_field_changes_value;
+          Alcotest.test_case "value mid-stream leaves the final value" `Quick
+            test_digest_value_mid_stream;
         ] );
       ( "ring",
         [
