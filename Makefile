@@ -56,14 +56,12 @@ no-globals:
 	  || { echo "no-globals: a lib/ module binds process-global mutable state (above)"; exit 1; }
 
 # The regression gate: rerun the seeded baseline suite (deterministic,
-# well under a second), compare it with the committed BENCH_baseline.json
-# (every tracked metric within tolerance), and require the two files to
-# be byte-identical — the suite is seeded, so any difference is a change
-# in simulated behaviour.
+# well under a second) and require it to reproduce the committed
+# BENCH_baseline.json byte for byte — the suite is seeded, so any
+# difference is a change in simulated behaviour, shown as a diff.
 bench-compare:
 	dune exec bench/main.exe -- --baseline /tmp/bench-baseline.json > /dev/null
-	dune exec bench/main.exe -- --compare BENCH_baseline.json /tmp/bench-baseline.json
-	@cmp BENCH_baseline.json /tmp/bench-baseline.json \
+	@diff -u BENCH_baseline.json /tmp/bench-baseline.json \
 	  || { echo "bench-compare: baseline suite no longer reproduces BENCH_baseline.json"; exit 1; }
 
 # E12 head-to-head: all five design points (incl. the lin snapshot

@@ -1,14 +1,16 @@
-(* Committed benchmark baseline and regression compare.
+(* Committed benchmark baseline.
 
    [collect] runs a small fixed seeded suite (fault-free clique worlds,
-   every named semantics, two set sizes) and returns tracked metrics —
-   all lower-is-better virtual-time latencies and message counts.  The
-   suite is deterministic, so a baseline written on one machine compares
-   exactly on any other: regressions mean algorithmic change, not noise.
+   every named semantics, two set sizes, plus a lease-cache pass and a
+   short saturation sweep) and returns tracked metrics: virtual-time
+   latencies, message counts and a knee rate.  The suite is
+   deterministic, so a baseline written on one machine compares exactly
+   on any other: a difference means algorithmic change, not noise.
 
    The JSON file ({!write}/{!read}) seeds the repo's perf trajectory
-   (BENCH_baseline.json); [compare] flags any tracked metric whose new
-   value exceeds the old by more than the relative tolerance. *)
+   (BENCH_baseline.json).  The suite is seeded, so a rerun must write the
+   committed file byte for byte: [make bench-compare] checks that with
+   [diff], and test_scenarios compares the metrics one by one. *)
 
 let schema = "weakset-bench-baseline-v1"
 
@@ -63,9 +65,9 @@ let collect () =
       measure "warm")
     sizes;
   (* Open-loop saturation trajectory: a short E13 sweep of the
-     optimistic point.  The knee rate is the capacity headline (higher
-     is better — see [higher_is_better]); the intent/send p99.9 at the
-     knee pin down the coordinated-omission gap we must keep seeing. *)
+     optimistic point.  The knee rate is the capacity headline; the
+     intent/send p99.9 at the knee pin down the coordinated-omission gap
+     we must keep seeing. *)
   let curve, _alerts =
     Experiments.e13_curve ~clients:16 ~duration:120.0 ~seed_base:13_500
       ~label:"baseline-optimistic" ~sem:Weakset_core.Semantics.optimistic ~bursty:false ()
@@ -122,90 +124,3 @@ let read path =
           | _ -> Error (path ^ ": missing \"metrics\" object"))
       | Some sc -> Error (Printf.sprintf "%s: schema %S, expected %S" path sc schema)
       | None -> Error (path ^ ": missing \"schema\"")))
-
-(* --- compare ---------------------------------------------------------- *)
-
-type verdict = Ok_within | Improved | Regressed | Missing
-
-type cmp = { metric : string; old_v : float; new_v : float; delta : float; verdict : verdict }
-
-(* Tracked metrics are lower-is-better (latencies, message counts)
-   except the ones listed in [higher_is_better] (capacity: the knee
-   rate), where the verdict flips.  [delta] is always the raw relative
-   change against the old value; a zero old value only compares equal to
-   zero. *)
-let higher_is_better = [ "load.knee.rate" ]
-
-let compare_metrics ~tolerance old_m new_m =
-  List.map
-    (fun (k, old_v) ->
-      match List.assoc_opt k new_m with
-      | None -> { metric = k; old_v; new_v = nan; delta = nan; verdict = Missing }
-      | Some new_v ->
-          let delta =
-            if old_v > 0.0 then (new_v -. old_v) /. old_v
-            else if new_v = old_v then 0.0
-            else if new_v > old_v then infinity
-            else neg_infinity
-          in
-          let worse = if List.mem k higher_is_better then -.delta else delta in
-          let verdict =
-            if worse > tolerance then Regressed
-            else if worse < -.tolerance then Improved
-            else Ok_within
-          in
-          { metric = k; old_v; new_v; delta; verdict })
-    old_m
-
-let verdict_cell = function
-  | Ok_within -> "ok"
-  | Improved -> "improved"
-  | Regressed -> "REGRESSED"
-  | Missing -> "MISSING"
-
-let render ~tolerance cmps =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "baseline compare (tolerance %.0f%%, lower is better; ^ = higher is better)\n"
-       (tolerance *. 100.0));
-  Buffer.add_string buf
-    (Printf.sprintf "  %-32s %12s %12s %8s  %s\n" "metric" "old" "new" "delta" "verdict");
-  List.iter
-    (fun c ->
-      let name =
-        if List.mem c.metric higher_is_better then c.metric ^ "^" else c.metric
-      in
-      Buffer.add_string buf
-        (Printf.sprintf "  %-32s %12.3f %12.3f %7.1f%%  %s\n" name c.old_v c.new_v
-           (c.delta *. 100.0) (verdict_cell c.verdict)))
-    cmps;
-  Buffer.contents buf
-
-let failed cmps =
-  List.exists (fun c -> c.verdict = Regressed || c.verdict = Missing) cmps
-
-(* Run the whole compare flow; returns the process exit code. *)
-let run_compare ~tolerance old_path new_path =
-  match (read old_path, read new_path) with
-  | Error m, _ | _, Error m ->
-      prerr_endline ("weakset_bench: " ^ m);
-      2
-  | Ok old_m, Ok new_m ->
-      let cmps = compare_metrics ~tolerance old_m new_m in
-      print_string (render ~tolerance cmps);
-      let extra =
-        List.filter (fun (k, _) -> not (List.mem_assoc k old_m)) new_m
-      in
-      List.iter
-        (fun (k, _) -> Printf.printf "  %-32s (new metric, not compared)\n" k)
-        extra;
-      if failed cmps then begin
-        Printf.printf "FAIL: %d metric(s) regressed beyond tolerance\n"
-          (List.length (List.filter (fun c -> c.verdict = Regressed || c.verdict = Missing) cmps));
-        1
-      end
-      else begin
-        Printf.printf "PASS: %d metric(s) within tolerance\n" (List.length cmps);
-        0
-      end

@@ -11,7 +11,7 @@
 let usage =
   "usage: weakset_bench [--metrics-json FILE] [--trace-jsonl FILE]\n\
   \                     [--profile-json FILE] [--slo-report] [--blackbox-dir DIR]\n\
-  \                     [--baseline FILE] [--compare OLD NEW] [--tolerance T]\n\
+  \                     [--baseline FILE]\n\
   \                     [--cache] [--lease-ttl T] [--warm-iters N]\n\
   \                     [--e12] [--e13] [--admission] [--curves-json FILE]\n\
   \                     [--load-clients N] [--load-duration T]\n\n\
@@ -27,9 +27,6 @@ let usage =
   \                       weakset_trace blackbox)\n\
   \  --baseline FILE      run only the seeded baseline suite and write its\n\
   \                       tracked metrics to FILE (see BENCH_baseline.json)\n\
-  \  --compare OLD NEW    compare two baseline files; exit 1 when a tracked\n\
-  \                       metric regresses beyond the tolerance\n\
-  \  --tolerance T        relative compare tolerance (default 0.10)\n\
   \  --cache              run only the lease-cache cold/warm experiment (E9)\n\
   \  --lease-ttl T        lease TTL for --cache (positive, default 600)\n\
   \  --warm-iters N       warm passes for --cache (positive, default 2)\n\
@@ -53,8 +50,6 @@ type opts = {
   mutable slo_report : bool;
   mutable blackbox_dir : string option;
   mutable baseline : string option;
-  mutable compare : (string * string) option;
-  mutable tolerance : float;
   mutable cache : bool;
   mutable e12 : bool;
   mutable e13 : bool;
@@ -74,8 +69,6 @@ let defaults () =
     slo_report = false;
     blackbox_dir = None;
     baseline = None;
-    compare = None;
-    tolerance = 0.10;
     cache = false;
     e12 = false;
     e13 = false;
@@ -142,15 +135,6 @@ let parse args =
     | "--curves-json" :: v :: rest when not (flag_like v) ->
         o.curves_json <- Some v;
         go rest
-    | "--compare" :: a :: b :: rest when (not (flag_like a)) && not (flag_like b) ->
-        o.compare <- Some (a, b);
-        go rest
-    | "--tolerance" :: v :: rest when not (flag_like v) -> (
-        match float_of_string_opt v with
-        | Some t when t >= 0.0 ->
-            o.tolerance <- t;
-            go rest
-        | _ -> error "--tolerance expects a non-negative float, got %S" v)
     | "--lease-ttl" :: v :: rest when not (flag_like v) -> (
         match float_of_string_opt v with
         | Some t when t > 0.0 ->
@@ -176,17 +160,13 @@ let parse args =
             go rest
         | _ -> error "--load-duration expects a positive float, got %S" v)
     | (("--metrics-json" | "--trace-jsonl" | "--profile-json" | "--blackbox-dir"
-       | "--baseline" | "--curves-json" | "--tolerance" | "--lease-ttl" | "--warm-iters"
-       | "--load-clients" | "--load-duration") as flag)
+       | "--baseline" | "--curves-json" | "--lease-ttl" | "--warm-iters" | "--load-clients"
+       | "--load-duration") as flag)
       :: rest -> (
         (* Either nothing follows, or the next token is itself a flag. *)
         match rest with
         | v :: _ -> error "%s expects a value, got flag %S" flag v
         | [] -> error "%s expects an argument" flag)
-    | "--compare" :: rest -> (
-        match List.filter flag_like rest with
-        | v :: _ -> error "--compare expects two file arguments, got flag %S" v
-        | [] -> `Error "--compare expects two file arguments")
     | ("--help" | "-h") :: _ -> `Help
     | a :: _ -> error "unknown argument %S" a
   in

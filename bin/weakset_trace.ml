@@ -15,7 +15,10 @@ let usage =
   \  flame FILE       folded-stack flamegraph text (fiber;span;...;wait dur)\n\
   \  anomalies FILE   flag unclosed spans, orphan parents, unfinished rpcs,\n\
   \                   lamport violations (exit 1 if any found)\n\
-  \  diff FILE FILE   digest-aligned prefix diff of two traces\n\
+  \  diff FILE FILE   digest-aligned prefix diff of two traces, showing the\n\
+  \                   first divergent events as JSON (exit 1 if the traces\n\
+  \                   differ: a divergent event, extra worlds or a world\n\
+  \                   name mismatch)\n\
   \  blackbox FILE..  render flight-recorder dumps (or the dumps embedded\n\
   \                   in VOPR repro bundles): trigger, tail exemplars and\n\
   \                   their reconstructed span trees (exit 3 if no tail\n\
@@ -565,23 +568,30 @@ let () =
           match o.files with
           | [ fa; fb ] ->
               let sa = load o fa and sb = load o fb in
+              (* [pair] returns whether any difference was reported. *)
               let rec pair i = function
-                | [], [] -> ()
+                | [], [] -> false
                 | a :: ta, b :: tb ->
-                    if a.Trace.sname <> b.Trace.sname then
+                    let renamed = a.Trace.sname <> b.Trace.sname in
+                    if renamed then
                       Printf.printf "segment %d: names differ (%S vs %S)\n" i a.sname
                         b.sname
                     else print_string (header a);
-                    print_string
-                      (Trace.render_diff ~left_name:fa ~right_name:fb a.Trace.events
-                         b.Trace.events);
-                    pair (i + 1) (ta, tb)
+                    let result = Trace.diff_events a.Trace.events b.Trace.events in
+                    print_string (Trace.render_diff ~left_name:fa ~right_name:fb result);
+                    let diverged =
+                      match result with Trace.Identical _ -> false | Trace.Diverged _ -> true
+                    in
+                    let rest = pair (i + 1) (ta, tb) in
+                    renamed || diverged || rest
                 | extra, [] ->
-                    Printf.printf "%s has %d extra world(s)\n" fa (List.length extra)
+                    Printf.printf "%s has %d extra world(s)\n" fa (List.length extra);
+                    true
                 | [], extra ->
-                    Printf.printf "%s has %d extra world(s)\n" fb (List.length extra)
+                    Printf.printf "%s has %d extra world(s)\n" fb (List.length extra);
+                    true
               in
-              pair 0 (sa, sb)
+              if pair 0 (sa, sb) then exit 1
           | files -> usage_die "diff expects exactly two FILEs, got %d" (List.length files))
       | "blackbox" -> cmd_blackbox ~json:o.json o.files
       | "saturation" -> cmd_saturation o o.files

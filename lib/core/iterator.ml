@@ -4,11 +4,6 @@ module Client = Weakset_store.Client
 
 type outcome = Yield of Oid.t * Svalue.t | Done | Failed of Client.error
 
-let pp_outcome fmt = function
-  | Yield (o, v) -> Format.fprintf fmt "yield %a %a" Oid.pp o Svalue.pp v
-  | Done -> Format.pp_print_string fmt "done"
-  | Failed e -> Format.fprintf fmt "failed: %a" Client.pp_error e
-
 type t = {
   impl_next : unit -> outcome;
   impl_close : unit -> unit;

@@ -14,8 +14,6 @@ type outcome =
   | Done
   | Failed of Weakset_store.Client.error
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 type t
 
 (** [make ~next ~close] wraps an implementation.  The wrapper enforces

@@ -20,7 +20,6 @@ let create rpc servers =
   { rpc; servers; dirs = Hashtbl.create 16; names = Hashtbl.create 64; next_oid = 0; next_set = 0 }
 
 let engine t = Rpc.engine t.rpc
-let topology t = Rpc.topology t.rpc
 
 let dir_info t path =
   match Hashtbl.find_opt t.dirs (Fpath.to_string path) with

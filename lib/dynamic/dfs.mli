@@ -18,7 +18,6 @@ val create :
   Weakset_store.Node_server.rpc -> Weakset_store.Node_server.t array -> t
 
 val engine : t -> Weakset_sim.Engine.t
-val topology : t -> Weakset_net.Topology.t
 
 (** [mkdir t path ~coordinator ?replicas ?replica_interval ?ghost_policy ()]
     creates a directory whose membership lives on server index

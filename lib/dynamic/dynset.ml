@@ -60,4 +60,3 @@ let drain t =
   loop []
 
 let stats t = Prefetch.stats t.pf
-let close t = Prefetch.close t.pf

@@ -60,4 +60,3 @@ val iterate : t -> entry option
 val drain : t -> entry list
 
 val stats : t -> Prefetch.stats
-val close : t -> unit

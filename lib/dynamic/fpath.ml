@@ -15,4 +15,3 @@ let root = []
 let is_root t = t = []
 let equal = List.equal String.equal
 let compare = List.compare String.compare
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -18,4 +18,3 @@ val root : t
 val is_root : t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val pp : Format.formatter -> t -> unit

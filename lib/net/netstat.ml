@@ -38,11 +38,3 @@ let snapshot m ~instance =
        layer interns one shared cell, per-node detail rides the bus *)
     replica_pull_failures = Metrics.peek_counter m "replica.pull_failures";
   }
-
-let pp fmt t =
-  Format.fprintf fmt
-    "sent=%d delivered=%d drop(unreach=%d down=%d inflight=%d lost=%d) rpc(calls=%d ok=%d timeout=%d unreach=%d) obs(dropped=%d) replica(pull_failures=%d)"
-    t.sent t.delivered t.dropped_unreachable t.dropped_down t.dropped_in_flight t.dropped_lost t.rpc_calls
-    t.rpc_ok t.rpc_timeout t.rpc_unreachable t.obs_dropped t.replica_pull_failures
-
-let to_string t = Format.asprintf "%a" pp t

@@ -34,6 +34,3 @@ val labels : instance:int -> (string * string) list
 (** [snapshot m ~instance] reads the current counter values of transport
     [instance] out of registry [m] (absent counters read as 0). *)
 val snapshot : Weakset_obs.Metrics.t -> instance:int -> t
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

@@ -101,10 +101,6 @@ let set_link_up t a b up =
       notify t
   | None -> invalid_arg "Topology.set_link_up: no such link"
 
-let coordinates t id =
-  let n = node t id in
-  (n.x, n.y)
-
 let adjacency t =
   match t.adj with
   | Some adj -> adj

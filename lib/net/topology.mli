@@ -58,8 +58,6 @@ val link_up : t -> Nodeid.t -> Nodeid.t -> bool
 (** [set_link_up t a b up] raises [Invalid_argument] if no such link. *)
 val set_link_up : t -> Nodeid.t -> Nodeid.t -> bool -> unit
 
-val coordinates : t -> Nodeid.t -> float * float
-
 (** [reachable t a b] holds iff both endpoints are up and a path of up
     nodes/links connects them.  [reachable t a a] holds iff [a] is up. *)
 val reachable : t -> Nodeid.t -> Nodeid.t -> bool

@@ -56,9 +56,6 @@ let stats t = Netstat.snapshot (Engine.metrics t.engine) ~instance:t.instance
 
 (* --- Lamport clocks -------------------------------------------------- *)
 
-let lamport t node =
-  Option.value (Hashtbl.find_opt t.clocks (Nodeid.to_int node)) ~default:0
-
 let lamport_tick t node =
   let i = Nodeid.to_int node in
   let c = Option.value (Hashtbl.find_opt t.clocks i) ~default:0 in

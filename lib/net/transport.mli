@@ -51,9 +51,6 @@ val send : 'a t -> src:Nodeid.t -> dst:Nodeid.t -> 'a -> unit
 
 (** {1 Lamport clocks} *)
 
-(** Current clock of [node] (0 before any stamped event there). *)
-val lamport : 'a t -> Nodeid.t -> int
-
 (** [lamport_tick t node] advances [node]'s clock for a local event and
     returns the new value.  {!send} calls this itself; higher layers
     (e.g. RPC) use it to stamp their own call/completion events. *)

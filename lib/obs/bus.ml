@@ -3,7 +3,6 @@ type sink = Event.t -> unit
 type t = {
   mutable seq : int;
   mutable sinks : (string * sink) list;
-  mutable enabled : bool;
   metrics : Metrics.t;
   mutable next_span : int;
 }
@@ -12,19 +11,14 @@ let create ?metrics () =
   let metrics =
     match metrics with Some m -> m | None -> Metrics.create ()
   in
-  { seq = 0; sinks = []; enabled = true; metrics; next_span = 0 }
+  { seq = 0; sinks = []; metrics; next_span = 0 }
 
 let metrics t = t.metrics
 
 let attach t ~name sink =
   t.sinks <- List.filter (fun (n, _) -> n <> name) t.sinks @ [ (name, sink) ]
 
-let detach t ~name =
-  t.sinks <- List.filter (fun (n, _) -> n <> name) t.sinks
-
-let set_enabled t b = t.enabled <- b
-let enabled t = t.enabled
-let active t = t.enabled && t.sinks <> []
+let active t = t.sinks <> []
 
 let emit t ~time kind =
   if active t then begin
@@ -32,8 +26,6 @@ let emit t ~time kind =
     t.seq <- t.seq + 1;
     List.iter (fun (_, sink) -> sink e) t.sinks
   end
-
-let seq t = t.seq
 
 let fresh_span t =
   let s = t.next_span in
@@ -61,6 +53,3 @@ let with_span_id t ~time ?node ?parent name f =
         finish ();
         raise exn
   end
-
-let with_span t ~time ?node ?parent name f =
-  with_span_id t ~time ?node ?parent name (fun _ -> f ())

@@ -140,8 +140,8 @@ let label = function
 
 (* --- writers ---------------------------------------------------------
 
-   Every rendering appends straight into a caller-owned [Buffer.t]: the
-   digest feeds one event per bus emit, so these run on the hot path and
+   Both encodings append straight into a caller-owned [Buffer.t]: the
+   digest feeds one event per bus emit, so they run on the hot path and
    avoid intermediate strings (JSON's decimal floats aside). *)
 
 let add = Buffer.add_string
@@ -156,243 +156,10 @@ let add_int b n = if n >= 0 then add_digits b n else add b (string_of_int n)
 
 let hex_digit d = String.unsafe_get "0123456789abcdef" d
 
-(* Exact, locale-independent float rendering, byte-for-byte what
-   [Printf.sprintf "%h"] prints: sign, then [infinity] / [nan], or
-   [0x] with the leading bit, the 52-bit fraction as hex digits with
-   trailing zeros dropped, and a signed binary exponent (-1022 for
-   subnormals).  Hex round-trips every finite double, so canonical
-   strings are injective on time and duration fields. *)
-let add_hexf b f =
-  let bits = Int64.bits_of_float f in
-  if Int64.compare bits 0L < 0 then addc b '-';
-  let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
-  let frac = Int64.to_int bits land 0xf_ffff_ffff_ffff in
-  if biased = 0x7ff then add b (if frac = 0 then "infinity" else "nan")
-  else begin
-    add b (if biased = 0 then "0x0" else "0x1");
-    if frac <> 0 then begin
-      addc b '.';
-      let m = ref frac in
-      while !m <> 0 do
-        addc b (hex_digit (!m lsr 48));
-        m := (!m lsl 4) land 0xf_ffff_ffff_ffff
-      done
-    end;
-    let exp = if biased = 0 then if frac = 0 then 0 else -1022 else biased - 1023 in
-    add b (if exp >= 0 then "p+" else "p");
-    add_int b exp
-  end
-
-let add_node b n =
-  addc b 'n';
-  add_int b n
-
-let add_opt_int b = function None -> addc b '-' | Some i -> add_int b i
-
-let add_elem b e =
-  add_int b e.elem_id;
-  addc b ':';
-  add b e.elem_label
-
-let add_elems b es =
-  List.iteri
-    (fun i e ->
-      if i > 0 then addc b ',';
-      add_elem b e)
-    es
-
-let add_at_node b = function
-  | None -> ()
-  | Some n ->
-      add b " @";
-      add_node b n
-
-(* [src->dst] of a network or RPC event. *)
-let add_link b src dst =
-  add_node b src;
-  add b "->";
-  add_node b dst
-
-(* [verb #fid fiber] of a fiber event. *)
-let add_fiber b verb fid fiber =
-  add b verb;
-  add_int b fid;
-  addc b ' ';
-  add b fiber
-
-(* [verb na-nb] of a link fault. *)
-let add_link_fault b verb x y =
-  add b verb;
-  add_node b x;
-  addc b '-';
-  add_node b y
-
-(* [kind#id @node] of a cache event. *)
-let add_cache_entry b ckind id node =
-  add b (cache_kind_string ckind);
-  addc b '#';
-  add_int b id;
-  add b " @";
-  add_node b node
-
-let write_detail b = function
-  | Fiber_spawn { fid; fiber } -> add_fiber b "spawn #" fid fiber
-  | Run_begin { fid; fiber } -> add_fiber b "begin #" fid fiber
-  | Run_end { fid; fiber; park } -> (
-      add_fiber b "end #" fid fiber;
-      addc b ' ';
-      match park with
-      | Park_sleep wake ->
-          add b "sleep until=";
-          add_hexf b wake
-      | p -> add b (park_base p))
-  | Fiber_crash { fiber; exn_text } ->
-      add b fiber;
-      add b ": ";
-      add b exn_text
-  | Sched { at } ->
-      add b "at=";
-      add_hexf b at
-  | Fault_node_crash { node } ->
-      add b "crash ";
-      add_node b node
-  | Fault_node_recover { node } ->
-      add b "recover ";
-      add_node b node
-  | Fault_link_cut { a; b = b' } -> add_link_fault b "cut " a b'
-  | Fault_link_heal { a; b = b' } -> add_link_fault b "heal " a b'
-  | Fault_partition -> add b "partition"
-  | Fault_heal_all -> add b "heal-all"
-  | Net_send { src; dst; lc } ->
-      add b "send ";
-      add_link b src dst;
-      add b " lc=";
-      add_int b lc
-  | Net_deliver { src; dst; sent_at; send_lc; lc } ->
-      add b "deliver ";
-      add_link b src dst;
-      add b " sent=";
-      add_hexf b sent_at;
-      add b " slc=";
-      add_int b send_lc;
-      add b " lc=";
-      add_int b lc
-  | Net_drop { src; dst; reason } ->
-      add b "drop ";
-      add_link b src dst;
-      addc b ' ';
-      add b (drop_reason_string reason)
-  | Rpc_call { src; dst; id; lc; parent } ->
-      add b "call#";
-      add_int b id;
-      addc b ' ';
-      add_link b src dst;
-      add b " lc=";
-      add_int b lc;
-      add b " parent=";
-      add_opt_int b parent
-  | Rpc_done { src; dst; id; outcome; lc } ->
-      add b "done#";
-      add_int b id;
-      addc b ' ';
-      add_link b src dst;
-      addc b ' ';
-      add b (rpc_outcome_string outcome);
-      add b " lc=";
-      add_int b lc
-  | Span_start { span; parent; name; node } ->
-      add b "start#";
-      add_int b span;
-      addc b ' ';
-      add b name;
-      add_at_node b node;
-      add b " parent=";
-      add_opt_int b parent
-  | Span_end { span; name; node; dur } ->
-      add b "end#";
-      add_int b span;
-      addc b ' ';
-      add b name;
-      add_at_node b node;
-      add b " dur=";
-      add_hexf b dur
-  | Store_op { node; op; parent } ->
-      add b op;
-      add b " @";
-      add_node b node;
-      add b " parent=";
-      add_opt_int b parent
-  | Cache_hit { node; ckind; id; version; age } ->
-      add b "hit ";
-      add_cache_entry b ckind id node;
-      add b " v=";
-      add_int b version;
-      add b " age=";
-      add_hexf b age
-  | Cache_miss { node; ckind; id } ->
-      add b "miss ";
-      add_cache_entry b ckind id node
-  | Cache_inval { node; set_id; version } ->
-      add b "inval ";
-      add_cache_entry b Cache_dir set_id node;
-      add b " v=";
-      add_int b version
-  | Lease_expire { node; ckind; id } ->
-      add b "expire ";
-      add_cache_entry b ckind id node
-  | Spec_observe { set_id; phase; s; accessible } ->
-      add b "set#";
-      add_int b set_id;
-      addc b ' ';
-      add b (phase_string phase);
-      (match phase with
-      | Phase_suspends e | Phase_mutation (Spec_add e) | Phase_mutation (Spec_remove e) ->
-          add b " e=";
-          add_elem b e
-      | _ -> ());
-      add b " s=[";
-      add_elems b s;
-      add b "] acc=[";
-      add_elems b accessible;
-      addc b ']'
-  | Alert { source; op; severity; burn; window; detail } ->
-      addc b '[';
-      add b (severity_string severity);
-      add b "] ";
-      add b source;
-      addc b '/';
-      add b op;
-      add b " burn=";
-      add_hexf b burn;
-      add b " window=";
-      add_hexf b window;
-      addc b ' ';
-      add b detail
-  | Spec_violation { set_id; where; message } ->
-      add b "set#";
-      add_int b set_id;
-      addc b ' ';
-      add b where;
-      add b ": ";
-      add b message
-  | Custom { detail; _ } -> add b detail
-
-let write_canonical b t =
-  add_int b t.seq;
-  addc b '|';
-  add_hexf b t.time;
-  addc b '|';
-  add b (label t.kind);
-  addc b '|';
-  write_detail b t.kind
-
 let render write x =
   let b = Buffer.create 128 in
   write b x;
   Buffer.contents b
-
-let detail k = render write_detail k
-let to_canonical t = render write_canonical t
 
 (* --- compact binary (the digest's input) ------------------------------
 
@@ -785,129 +552,124 @@ let to_json t = render write_json t
 
 exception Bad of string
 
-let req what = function Some v -> v | None -> raise (Bad what)
+(* Field [k] of [j] through [conv], or [Bad] naming the field. *)
+let get conv j k = match Json.field k conv j with Ok v -> v | Error e -> raise (Bad e)
 
-let fint j k = req k (Option.bind (Json.member k j) Json.to_int)
-let ffloat j k = req k (Option.bind (Json.member k j) Json.to_float)
-let fstr j k = req k (Option.bind (Json.member k j) Json.to_string)
+(* An enumeration field: a string that [of_string] accepts. *)
+let enum of_string v = Option.bind (Json.to_string v) of_string
 
-let fint_opt j k =
-  match Json.member k j with
-  | None | Some Json.Null -> None
-  | Some v -> Some (req k (Json.to_int v))
-
-let felem j =
-  { elem_id = fint j "id"; elem_label = fstr j "label" }
-
-let felems j k =
-  List.map felem (req k (Option.bind (Json.member k j) Json.to_list))
+let felem j = { elem_id = get Json.to_int j "id"; elem_label = get Json.to_string j "label" }
 
 let kind_of_json j =
-  match fstr j "kind" with
-  | "fiber_spawn" -> Fiber_spawn { fid = fint j "fid"; fiber = fstr j "fiber" }
-  | "run_begin" -> Run_begin { fid = fint j "fid"; fiber = fstr j "fiber" }
+  let int = get Json.to_int j and float = get Json.to_float j and str = get Json.to_string j in
+  (* Absent (or null) options are [None]. *)
+  let int_opt k =
+    match Json.member k j with None | Some Json.Null -> None | Some _ -> Some (int k)
+  in
+  let elems k = List.map felem (get Json.to_list j k) in
+  match str "kind" with
+  | "fiber_spawn" -> Fiber_spawn { fid = int "fid"; fiber = str "fiber" }
+  | "run_begin" -> Run_begin { fid = int "fid"; fiber = str "fiber" }
   | "run_end" ->
       let park =
-        match fstr j "park" with
+        match str "park" with
         | "yield" -> Park_yield
-        | "sleep" -> Park_sleep (ffloat j "wake")
+        | "sleep" -> Park_sleep (float "wake")
         | "suspend" -> Park_suspend
         | "done" -> Park_done
         | "crash" -> Park_crash
         | p -> raise (Bad ("park " ^ p))
       in
-      Run_end { fid = fint j "fid"; fiber = fstr j "fiber"; park }
-  | "fiber_crash" -> Fiber_crash { fiber = fstr j "fiber"; exn_text = fstr j "exn" }
-  | "sched" -> Sched { at = ffloat j "at" }
-  | "fault_node_crash" -> Fault_node_crash { node = fint j "node" }
-  | "fault_node_recover" -> Fault_node_recover { node = fint j "node" }
-  | "fault_link_cut" -> Fault_link_cut { a = fint j "a"; b = fint j "b" }
-  | "fault_link_heal" -> Fault_link_heal { a = fint j "a"; b = fint j "b" }
+      Run_end { fid = int "fid"; fiber = str "fiber"; park }
+  | "fiber_crash" -> Fiber_crash { fiber = str "fiber"; exn_text = str "exn" }
+  | "sched" -> Sched { at = float "at" }
+  | "fault_node_crash" -> Fault_node_crash { node = int "node" }
+  | "fault_node_recover" -> Fault_node_recover { node = int "node" }
+  | "fault_link_cut" -> Fault_link_cut { a = int "a"; b = int "b" }
+  | "fault_link_heal" -> Fault_link_heal { a = int "a"; b = int "b" }
   | "fault_partition" -> Fault_partition
   | "fault_heal_all" -> Fault_heal_all
-  | "net_send" -> Net_send { src = fint j "src"; dst = fint j "dst"; lc = fint j "lc" }
+  | "net_send" -> Net_send { src = int "src"; dst = int "dst"; lc = int "lc" }
   | "net_deliver" ->
       Net_deliver
         {
-          src = fint j "src";
-          dst = fint j "dst";
-          sent_at = ffloat j "sent_at";
-          send_lc = fint j "send_lc";
-          lc = fint j "lc";
+          src = int "src";
+          dst = int "dst";
+          sent_at = float "sent_at";
+          send_lc = int "send_lc";
+          lc = int "lc";
         }
   | "net_drop" ->
       Net_drop
         {
-          src = fint j "src";
-          dst = fint j "dst";
-          reason = req "reason" (drop_reason_of_string (fstr j "reason"));
+          src = int "src";
+          dst = int "dst";
+          reason = get (enum drop_reason_of_string) j "reason";
         }
   | "rpc_call" ->
       Rpc_call
         {
-          src = fint j "src";
-          dst = fint j "dst";
-          id = fint j "id";
-          lc = fint j "lc";
-          parent = fint_opt j "parent";
+          src = int "src";
+          dst = int "dst";
+          id = int "id";
+          lc = int "lc";
+          parent = int_opt "parent";
         }
   | "rpc_done" ->
       Rpc_done
         {
-          src = fint j "src";
-          dst = fint j "dst";
-          id = fint j "id";
-          outcome = req "outcome" (rpc_outcome_of_string (fstr j "outcome"));
-          lc = fint j "lc";
+          src = int "src";
+          dst = int "dst";
+          id = int "id";
+          outcome = get (enum rpc_outcome_of_string) j "outcome";
+          lc = int "lc";
         }
   | "span_start" ->
       Span_start
         {
-          span = fint j "span";
-          parent = fint_opt j "parent";
-          name = fstr j "name";
-          node = fint_opt j "node";
+          span = int "span";
+          parent = int_opt "parent";
+          name = str "name";
+          node = int_opt "node";
         }
   | "span_end" ->
       Span_end
         {
-          span = fint j "span";
-          name = fstr j "name";
-          node = fint_opt j "node";
-          dur = ffloat j "dur";
+          span = int "span";
+          name = str "name";
+          node = int_opt "node";
+          dur = float "dur";
         }
-  | "store_op" ->
-      Store_op { node = fint j "node"; op = fstr j "op"; parent = fint_opt j "parent" }
+  | "store_op" -> Store_op { node = int "node"; op = str "op"; parent = int_opt "parent" }
   | "cache_hit" ->
       Cache_hit
         {
-          node = fint j "node";
-          ckind = req "ckind" (cache_kind_of_string (fstr j "ckind"));
-          id = fint j "id";
-          version = fint j "version";
-          age = ffloat j "age";
+          node = int "node";
+          ckind = get (enum cache_kind_of_string) j "ckind";
+          id = int "id";
+          version = int "version";
+          age = float "age";
         }
   | "cache_miss" ->
       Cache_miss
         {
-          node = fint j "node";
-          ckind = req "ckind" (cache_kind_of_string (fstr j "ckind"));
-          id = fint j "id";
+          node = int "node";
+          ckind = get (enum cache_kind_of_string) j "ckind";
+          id = int "id";
         }
   | "cache_inval" ->
-      Cache_inval
-        { node = fint j "node"; set_id = fint j "set_id"; version = fint j "version" }
+      Cache_inval { node = int "node"; set_id = int "set_id"; version = int "version" }
   | "lease_expire" ->
       Lease_expire
         {
-          node = fint j "node";
-          ckind = req "ckind" (cache_kind_of_string (fstr j "ckind"));
-          id = fint j "id";
+          node = int "node";
+          ckind = get (enum cache_kind_of_string) j "ckind";
+          id = int "id";
         }
   | "spec_observe" ->
-      let elem () = felem (req "elem" (Json.member "elem" j)) in
+      let elem () = felem (get Option.some j "elem") in
       let phase =
-        match fstr j "phase" with
+        match str "phase" with
         | "first" -> Phase_first
         | "invocation-start" -> Phase_invocation_start
         | "invocation-retry" -> Phase_invocation_retry
@@ -919,37 +681,33 @@ let kind_of_json j =
         | p -> raise (Bad ("phase " ^ p))
       in
       Spec_observe
-        { set_id = fint j "set_id"; phase; s = felems j "s"; accessible = felems j "acc" }
+        { set_id = int "set_id"; phase; s = elems "s"; accessible = elems "acc" }
   | "alert" ->
       Alert
         {
-          source = fstr j "source";
-          op = fstr j "op";
-          severity = req "severity" (severity_of_string (fstr j "severity"));
-          burn = ffloat j "burn";
-          window = ffloat j "window";
-          detail = fstr j "detail";
+          source = str "source";
+          op = str "op";
+          severity = get (enum severity_of_string) j "severity";
+          burn = float "burn";
+          window = float "window";
+          detail = str "detail";
         }
   | "spec_violation" ->
       Spec_violation
-        { set_id = fint j "set_id"; where = fstr j "where"; message = fstr j "message" }
-  | "custom" -> Custom { label = fstr j "clabel"; detail = fstr j "detail" }
+        { set_id = int "set_id"; where = str "where"; message = str "message" }
+  | "custom" -> Custom { label = str "clabel"; detail = str "detail" }
   | k -> raise (Bad ("kind " ^ k))
 
 let of_json j =
   match
-    { seq = fint j "seq"; time = ffloat j "time"; kind = kind_of_json j }
+    { seq = get Json.to_int j "seq"; time = get Json.to_float j "time"; kind = kind_of_json j }
   with
   | e -> Ok e
-  | exception Bad what -> Error ("Event.of_json: missing or bad field: " ^ what)
+  | exception Bad what -> Error ("Event.of_json: " ^ what)
 
 let of_json_string s =
   match Json.of_string_opt s with
   | None -> Error "Event.of_json_string: malformed JSON"
   | Some j -> of_json j
-
-let pp fmt t =
-  Format.fprintf fmt "[%d @%g] %s: %s" t.seq t.time (label t.kind)
-    (detail t.kind)
 
 let dummy = { seq = -1; time = 0.0; kind = Custom { label = ""; detail = "" } }

@@ -9,12 +9,11 @@
     a conformance checker and a determinism check all see one log.
 
     Events are plain data: no pre-rendered strings (except {!Custom}),
-    and every field needed to replay or compare runs is explicit.
-    {!write_binary} is the compact encoding the {!Digest} hashes;
-    {!to_canonical} is the injective one-line text rendering that
-    {!Trace} compares and prints; {!to_json} is the JSONL rendering, and
-    {!of_json} is its exact inverse — the offline {!Trace} analyzer
-    depends on that round trip.
+    and every field needed to replay or compare runs is explicit.  An
+    event has two encodings.  {!write_binary} is its identity: the
+    {!Digest} hashes it and {!Trace}'s diff compares events by it.
+    {!to_json} is for exchange and display: the JSONL rendering, whose
+    exact inverse {!of_json} the offline {!Trace} analyzer depends on.
 
     {2 Causal metadata}
 
@@ -137,28 +136,13 @@ val cache_kind_string : cache_kind -> string
 
 val severity_string : alert_severity -> string
 
-(** {1 Renderings}
+(** {1 Encodings}
 
     Each format has exactly one writer, which appends to a caller-owned
-    buffer without going through [Printf] or [Format]; the [string]
-    forms below are thin wrappers over the writers.  A sink that renders
-    every event (the {!Digest}, the {!Jsonl} writer, the {!Flight}
-    recorder's dumps) keeps one buffer and reuses it. *)
-
-(** [write_canonical b e] appends the injective single-line rendering
-    [seq|time|label|detail]: equal canonical strings iff the events are
-    equal.  {!Trace}'s diff compares events by it and prints the first
-    divergent pair in it.  Float fields are rendered exactly, in hex,
-    byte for byte as [Printf.sprintf "%h"] prints them ([0x1.8p+1],
-    [-0x0p+0], [0x0.0000000000001p-1022], [infinity], [-nan]). *)
-val write_canonical : Buffer.t -> t -> unit
-
-(** [to_canonical e] is the string {!write_canonical} appends. *)
-val to_canonical : t -> string
-
-(** Deterministic human-readable payload rendering (no seq/time): the
-    last field of {!to_canonical}. *)
-val detail : kind -> string
+    buffer without going through [Printf] or [Format]; {!to_json} is a
+    thin wrapper over its writer.  A sink that encodes every event (the
+    {!Digest}, the {!Jsonl} writer, the {!Flight} recorder's dumps)
+    keeps one buffer and reuses it. *)
 
 (** [write_binary b e] appends a compact, prefix-free binary encoding:
     [seq], then [time], then a tag byte naming the constructor and then
@@ -168,7 +152,9 @@ val detail : kind -> string
     byte.  Being prefix-free, a concatenation of encodings decodes one
     way only, so two event sequences write the same bytes iff they are
     equal event for event.  This is the {!Digest}'s input, so its bytes
-    are part of every pinned digest. *)
+    are part of every pinned digest.  As floats are written by their
+    bits, [0.0] and [-0.0] encode differently, as do NaNs with different
+    payloads. *)
 val write_binary : Buffer.t -> t -> unit
 
 (** [write_json b e] appends one structured JSON object, no trailing
@@ -194,8 +180,6 @@ val of_json : Json.t -> (t, string) result
 (** [of_json_string line] parses one JSONL line and reconstructs the
     event. *)
 val of_json_string : string -> (t, string) result
-
-val pp : Format.formatter -> t -> unit
 
 (** A zero event, useful to pre-fill buffers. *)
 val dummy : t

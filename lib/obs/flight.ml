@@ -223,87 +223,52 @@ type parsed = {
 
 let ( let* ) r f = match r with Ok x -> f x | Error _ as e -> e
 
-let req what conv field j =
-  match Json.member field j with
-  | None -> Error (Printf.sprintf "blackbox: missing %s.%s" what field)
-  | Some v -> (
-      match conv v with
-      | Some x -> Ok x
-      | None -> Error (Printf.sprintf "blackbox: ill-typed %s.%s" what field))
-
 let parse_events rings =
-  let rec ring_events acc = function
-    | [] -> Ok acc
-    | ring :: rest -> (
-        match Json.member "events" ring with
-        | Some (Json.Arr evs) ->
-            let rec go acc = function
-              | [] -> Ok acc
-              | j :: tl -> (
-                  match Event.of_json j with
-                  | Ok ev -> go (ev :: acc) tl
-                  | Error e -> Error ("blackbox: bad event: " ^ e))
-            in
-            let* acc = go acc evs in
-            ring_events acc rest
-        | _ -> Error "blackbox: ring without events array")
+  let ring_events ring =
+    let* evs = Json.field "events" Json.to_list ring in
+    Json.map (fun j -> Result.map_error (( ^ ) "bad event: ") (Event.of_json j)) evs
   in
-  let* evs = ring_events [] rings in
-  Ok (List.sort (fun (a : Event.t) b -> compare a.seq b.seq) evs)
+  let* evs = Json.map ring_events rings in
+  Ok (List.sort (fun (a : Event.t) b -> compare a.seq b.seq) (List.concat evs))
+
+let parse_json j =
+  let* version = Json.field "blackbox_version" Json.to_int j in
+  if version <> 1 then Error (Printf.sprintf "unsupported version %d" version)
+  else
+    let* p_time = Json.field "time" Json.to_float j in
+    let* trig = Json.field "trigger" Option.some j in
+    let* p_cause_kind = Json.field "kind" Json.to_string trig in
+    let* p_cause_detail = Json.field "detail" Json.to_string trig in
+    let* p_suppressed = Json.field "suppressed" Json.to_int j in
+    let* p_dropped = Json.field "dropped_total" Json.to_int j in
+    let* rings = Json.field "rings" Json.to_list j in
+    let* p_events = parse_events rings in
+    let* spans = Json.field "inflight" Json.to_list j in
+    let* p_inflight =
+      Json.map
+        (fun sp ->
+          let* id = Json.field "span" Json.to_int sp in
+          let* name = Json.field "name" Json.to_string sp in
+          Ok (id, name))
+        spans
+    in
+    let* p_metrics = Json.field "metrics" Option.some j in
+    Ok
+      {
+        p_time;
+        p_cause_kind;
+        p_cause_detail;
+        p_suppressed;
+        p_dropped;
+        p_events;
+        p_inflight;
+        p_metrics;
+      }
 
 let parse_dump s =
   match Json.of_string_opt s with
   | None -> Error "blackbox: not valid JSON"
-  | Some j ->
-      let* version = req "dump" Json.to_int "blackbox_version" j in
-      if version <> 1 then
-        Error (Printf.sprintf "blackbox: unsupported version %d" version)
-      else
-        let* p_time = req "dump" Json.to_float "time" j in
-        let* trig =
-          match Json.member "trigger" j with
-          | Some t -> Ok t
-          | None -> Error "blackbox: missing dump.trigger"
-        in
-        let* p_cause_kind = req "trigger" Json.to_string "kind" trig in
-        let* p_cause_detail = req "trigger" Json.to_string "detail" trig in
-        let* p_suppressed = req "dump" Json.to_int "suppressed" j in
-        let* p_dropped = req "dump" Json.to_int "dropped_total" j in
-        let* rings =
-          match Json.member "rings" j with
-          | Some (Json.Arr rs) -> Ok rs
-          | _ -> Error "blackbox: missing dump.rings"
-        in
-        let* p_events = parse_events rings in
-        let* p_inflight =
-          match Json.member "inflight" j with
-          | Some (Json.Arr spans) ->
-              let rec go acc = function
-                | [] -> Ok (List.rev acc)
-                | sp :: tl ->
-                    let* id = req "inflight" Json.to_int "span" sp in
-                    let* name = req "inflight" Json.to_string "name" sp in
-                    go ((id, name) :: acc) tl
-              in
-              go [] spans
-          | _ -> Error "blackbox: missing dump.inflight"
-        in
-        let* p_metrics =
-          match Json.member "metrics" j with
-          | Some m -> Ok m
-          | None -> Error "blackbox: missing dump.metrics"
-        in
-        Ok
-          {
-            p_time;
-            p_cause_kind;
-            p_cause_detail;
-            p_suppressed;
-            p_dropped;
-            p_events;
-            p_inflight;
-            p_metrics;
-          }
+  | Some j -> Result.map_error (( ^ ) "blackbox: ") (parse_json j)
 
 let tail_exemplars metrics =
   let of_cell key cell =

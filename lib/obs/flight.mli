@@ -45,10 +45,6 @@ type dump = {
     ring overwrites are visible in metrics snapshots. *)
 val create : ?capacity:int -> ?debounce:float -> ?inflight_cap:int -> Bus.t -> t
 
-(** The recorder's sink (already attached by {!create}; exposed for
-    re-attachment after a [Bus.detach]). *)
-val sink : t -> Bus.sink
-
 (** [trigger t ~time cause] requests a dump, subject to debounce. *)
 val trigger : t -> time:float -> cause -> unit
 

@@ -189,3 +189,18 @@ let to_float = function
 let to_string = function Str s -> Some s | _ -> None
 
 let to_list = function Arr l -> Some l | _ -> None
+
+let to_bool = function Bool b -> Some b | _ -> None
+
+let field k conv j =
+  match member k j with
+  | None -> Error (Printf.sprintf "missing field %S" k)
+  | Some v -> (
+      match conv v with Some x -> Ok x | None -> Error (Printf.sprintf "ill-typed field %S" k))
+
+let map f l =
+  let rec go acc = function
+    | [] -> Ok (List.rev acc)
+    | x :: rest -> ( match f x with Ok y -> go (y :: acc) rest | Error _ as e -> e)
+  in
+  go [] l

@@ -1,8 +1,9 @@
 (** Minimal JSON reader used by the trace toolchain ({!Trace},
-    {!Event.of_json}).  Numbers keep their original lexeme, so integer
-    and float fields round-trip exactly through {!Event.to_json}'s
-    [%d]/[%.17g] renderings.  Intentionally tiny: no writer (events
-    render themselves) and no external dependency. *)
+    {!Event.of_json}) and the dump and repro-bundle parsers.  Numbers
+    keep their original lexeme, so integer and float fields round-trip
+    exactly through {!Event.to_json}'s [%d]/[%.17g] renderings.
+    Intentionally tiny: no writer (events render themselves) and no
+    external dependency. *)
 
 type t =
   | Null
@@ -27,3 +28,13 @@ val to_int : t -> int option
 val to_float : t -> float option
 val to_string : t -> string option
 val to_list : t -> t list option
+val to_bool : t -> bool option
+
+(** [field k conv j] is field [k] of object [j] converted by [conv]
+    (one of the [to_*] above, or [Option.some] for the raw value); the
+    [Error] names [k] and says whether it was missing or ill-typed. *)
+val field : string -> (t -> 'a option) -> t -> ('a, string) result
+
+(** [map f l] applies [f] to every element of [l] in order and stops at
+    the first [Error]. *)
+val map : ('a -> ('b, 'e) result) -> 'a list -> ('b list, 'e) result

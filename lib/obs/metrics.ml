@@ -83,7 +83,6 @@ let gauge t ?(labels = []) name =
     "gauge"
 
 let set_gauge g v = g.g <- v
-let gauge_value g = g.g
 
 let histogram t ?(labels = []) name =
   intern t name labels
@@ -140,7 +139,6 @@ let h_count h = h.n
 let h_sum h = h.sum
 let h_mean h = if h.n = 0 then 0.0 else h.sum /. float_of_int h.n
 let h_retained h = h.klen
-let h_exemplars h = h.ex
 
 let sorted_samples h =
   match h.sorted with

@@ -39,7 +39,6 @@ val peek_counter : t -> ?labels:(string * string) list -> string -> int
 
 val gauge : t -> ?labels:(string * string) list -> string -> gauge
 val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {1 Histograms}
 
@@ -71,10 +70,6 @@ val h_mean : histogram -> float
 (** Number of samples currently retained in the reservoir
     (≤ {!reservoir_capacity}). *)
 val h_retained : histogram -> int
-
-(** The histogram's exemplar table (empty unless fed via
-    {!observe_ex}). *)
-val h_exemplars : histogram -> Exemplar.t
 
 (** Linear-interpolation percentile over the retained reservoir (exact
     when fewer than {!reservoir_capacity} samples were observed).

@@ -35,9 +35,4 @@ let push t e =
 let to_list t =
   List.init t.len (fun i -> t.arr.((t.start + i) mod t.cap))
 
-let clear t =
-  t.start <- 0;
-  t.len <- 0;
-  t.dropped <- 0
-
 let sink t = push t

@@ -18,7 +18,5 @@ val push : t -> Event.t -> unit
 (** Oldest first. *)
 val to_list : t -> Event.t list
 
-val clear : t -> unit
-
 (** [sink r] is [push r], for {!Bus.attach}. *)
 val sink : t -> Bus.sink

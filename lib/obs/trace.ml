@@ -637,12 +637,18 @@ type diff_result =
     }
 
 (* Digest-aligned prefix diff: find the longest common prefix of the two
-   canonical streams, then report the first divergent pair. *)
+   streams, comparing events by their binary encodings (exact, floats by
+   their bits), then report the first divergent pair. *)
 let diff_events ea eb =
-  let d = Digest.create () in
+  let d = Digest.create () and ba = Buffer.create 128 and bb = Buffer.create 128 in
+  let encode buf e =
+    Buffer.clear buf;
+    Event.write_binary buf e;
+    Buffer.contents buf
+  in
   let rec walk n = function
     | [], [] -> Identical { events = n; digest = Digest.value d }
-    | a :: ta, b :: tb when Event.to_canonical a = Event.to_canonical b ->
+    | a :: ta, b :: tb when String.equal (encode ba a) (encode bb b) ->
         Digest.feed d a;
         walk (n + 1) (ta, tb)
     | la, lb ->
@@ -657,9 +663,9 @@ let diff_events ea eb =
   in
   walk 0 (ea, eb)
 
-let render_diff ~left_name ~right_name ea eb =
+let render_diff ~left_name ~right_name result =
   let buf = Buffer.create 256 in
-  (match diff_events ea eb with
+  (match result with
   | Identical { events; digest } ->
       Buffer.add_string buf
         (Printf.sprintf "identical: %d events, digest %s\n" events digest)
@@ -668,7 +674,7 @@ let render_diff ~left_name ~right_name ea eb =
         (Printf.sprintf "diverged after %d common events (prefix digest %s)\n"
            common_prefix prefix_digest);
       let side name = function
-        | Some e -> Printf.sprintf "  %s: %s\n" name (Event.to_canonical e)
+        | Some e -> Printf.sprintf "  %s: %s\n" name (Event.to_json e)
         | None -> Printf.sprintf "  %s: <end of stream>\n" name
       in
       Buffer.add_string buf (side left_name left);

@@ -150,7 +150,13 @@ type diff_result =
       right : Event.t option;
     }
 
+(** [diff_events a b] walks the longest common prefix of two streams,
+    comparing events by their {!Event.write_binary} bytes (exact: floats
+    by their bits), and reports the first divergent pair with the
+    digest of the prefix. *)
 val diff_events : Event.t list -> Event.t list -> diff_result
 
-val render_diff :
-  left_name:string -> right_name:string -> Event.t list -> Event.t list -> string
+(** A {!diff_events} verdict as text: the [identical:] line, or the
+    [diverged after N common events] line followed by each side's first
+    divergent event as {!Event.to_json} (or [<end of stream>]). *)
+val render_diff : left_name:string -> right_name:string -> diff_result -> string

@@ -32,8 +32,6 @@ end
 
 type status = Normal | View_change
 
-let status_str = function Normal -> "normal" | View_change -> "view-change"
-
 (* Leader-side bookkeeping for one in-flight log entry. *)
 type ack = {
   a_view : int;
@@ -827,7 +825,6 @@ let start t ~until =
 let view t = t.view
 let status t = t.vstatus
 let me t = t.me
-let member_ix t = t.me_ix
 let members t = Array.to_list t.members
 let opnum t = t.opnum
 let suffix_length t = List.length t.suffix

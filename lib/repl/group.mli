@@ -49,8 +49,6 @@ end
 
 type status = Normal | View_change
 
-val status_str : status -> string
-
 type t
 
 (** [create rpc ~set_id ~members ~me ~server] makes this node's member
@@ -94,7 +92,6 @@ val start : t -> until:float -> unit
 val view : t -> int
 val status : t -> status
 val me : t -> Weakset_net.Nodeid.t
-val member_ix : t -> int
 val members : t -> Weakset_net.Nodeid.t list
 val set_id : t -> int
 

@@ -4,8 +4,6 @@ type 'a t = { mutable state : 'a state }
 
 let create () = { state = Empty [] }
 
-let is_full iv = match iv.state with Full _ -> true | Empty _ -> false
-
 let peek iv = match iv.state with Full v -> Some v | Empty _ -> None
 
 let fill _eng iv v =

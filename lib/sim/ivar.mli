@@ -6,7 +6,6 @@
 type 'a t
 
 val create : unit -> 'a t
-val is_full : 'a t -> bool
 
 (** [peek iv] returns the value if filled, without blocking. *)
 val peek : 'a t -> 'a option

@@ -55,5 +55,3 @@ let recv_timeout eng mb d =
                 resume (Ok None)))
 
 let try_recv mb = Queue.take_opt mb.queue
-
-let clear mb = Queue.clear mb.queue

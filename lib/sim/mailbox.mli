@@ -24,6 +24,3 @@ val recv_timeout : Engine.t -> 'a t -> float -> 'a option
 
 (** [try_recv mb] dequeues without blocking. *)
 val try_recv : 'a t -> 'a option
-
-(** [clear mb] discards all queued messages (parked receivers stay parked). *)
-val clear : 'a t -> unit

@@ -70,12 +70,6 @@ let percentile_linear t p =
 
 let median t = percentile t 50.0
 
-let summary t =
-  if t.n = 0 then "n=0"
-  else
-    Printf.sprintf "n=%d mean=%.3f p50=%.3f p95=%.3f max=%.3f" t.n (mean t) (median t)
-      (percentile t 95.0) t.hi
-
 module Histogram = struct
   type h = { lo : float; hi : float; buckets : int; counts : int array }
 

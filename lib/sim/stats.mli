@@ -30,9 +30,6 @@ val percentile_linear : t -> float -> float
 
 val median : t -> float
 
-(** One-line human-readable summary: n, mean, p50, p95, max. *)
-val summary : t -> string
-
 (** A fixed-width-bucket histogram over \[lo, hi). *)
 module Histogram : sig
   type h

@@ -9,9 +9,6 @@ let holds_between t a b = t.rel a b
 
 type violation = { clause : string; si : Sstate.t; sj : Sstate.t }
 
-let pp_violation fmt v =
-  Format.fprintf fmt "%s violated between@ %a@ and %a" v.clause Sstate.pp v.si Sstate.pp v.sj
-
 (* The provided relations are reflexive and transitive, so a violation (if
    any) already appears between some consecutive pair. *)
 let scan_states t states =

@@ -27,8 +27,6 @@ val holds_between : t -> Elem.Set.t -> Elem.Set.t -> bool
 
 type violation = { clause : string; si : Sstate.t; sj : Sstate.t }
 
-val pp_violation : Format.formatter -> violation -> unit
-
 (** [check t comp] returns the first violated pair, if any.
 
     The scan covers the states where the set value is authoritative

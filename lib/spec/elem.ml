@@ -7,7 +7,6 @@ let id t = t.id
 let label t = t.lbl
 let equal a b = Int.equal a.id b.id
 let compare a b = Int.compare a.id b.id
-let hash t = t.id
 let pp fmt t = Format.pp_print_string fmt t.lbl
 
 module Set = struct

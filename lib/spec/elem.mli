@@ -17,7 +17,6 @@ val label : t -> string
 val equal : t -> t -> bool
 
 val compare : t -> t -> int
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 module Set : sig

@@ -128,6 +128,5 @@ type violation = Visibility.violation = {
 type verdict = Visibility.verdict = Conforms | Violates of violation list
 
 let verdict_ok = Visibility.verdict_ok
-let pp_violation = Visibility.pp_violation
 let pp_verdict = Visibility.pp_verdict
 let check = Visibility.check

@@ -68,7 +68,6 @@ type violation = Visibility.violation = {
 type verdict = Visibility.verdict = Conforms | Violates of violation list
 
 val verdict_ok : verdict -> bool
-val pp_violation : Format.formatter -> violation -> unit
 val pp_verdict : Format.formatter -> verdict -> unit
 
 (** [check ?planted spec comp] = [Visibility.check ?planted spec comp]. *)

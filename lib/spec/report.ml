@@ -6,13 +6,6 @@ let summary spec comp verdict =
       Printf.sprintf "%s: VIOLATES %d clause(s) over %d invocations" spec.Visibility.name
         (List.length vs) n
 
-let detailed spec comp verdict =
-  match verdict with
-  | Figures.Conforms -> summary spec comp verdict
-  | Figures.Violates _ ->
-      Format.asprintf "%s@.%a@.%a" (summary spec comp verdict) Figures.pp_verdict verdict
-        Computation.pp comp
-
 (* One line per state: time, what happened, and the sizes of s,
    reachable(s) and yielded - a quick visual of a run's shape. *)
 let pp_timeline fmt comp =

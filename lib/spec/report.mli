@@ -3,10 +3,6 @@
 (** One-line outcome, e.g. ["immutable-failures: CONFORMS (5 invocations)"]. *)
 val summary : Figures.spec -> Computation.t -> Figures.verdict -> string
 
-(** Full report: verdict, violations with their states, and (on
-    violation) the complete computation dump. *)
-val detailed : Figures.spec -> Computation.t -> Figures.verdict -> string
-
 (** Render the computation as a compact timeline: one line per state with
     the sizes of [s], its reachable part, and [yielded]. *)
 val pp_timeline : Format.formatter -> Computation.t -> unit

@@ -122,9 +122,7 @@ let put_object t oid v =
     invalid_arg "Node_server.put_object: oid homed elsewhere";
   Hashtbl.replace t.objects (Oid.num oid) v
 
-let delete_object t oid = Hashtbl.remove t.objects (Oid.num oid)
 let has_object t oid = Hashtbl.mem t.objects (Oid.num oid)
-let object_count t = Hashtbl.length t.objects
 
 let dir_state t set_id =
   match Hashtbl.find_opt t.dirs set_id with Some d -> Some d | None -> None
@@ -535,7 +533,6 @@ let replica_pull_now t ~set_id =
       false
 
 let attach_repl t hooks = t.repl <- Some hooks
-let detach_repl t = t.repl <- None
 
 (* The group's apply-upcall: a committed entry lands in the hosted
    directory exactly like a local mutation would — hooks fire, lease

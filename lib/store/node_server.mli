@@ -62,9 +62,7 @@ val node : t -> Weakset_net.Nodeid.t
     this node. *)
 val put_object : t -> Oid.t -> Svalue.t -> unit
 
-val delete_object : t -> Oid.t -> unit
 val has_object : t -> Oid.t -> bool
-val object_count : t -> int
 
 (** {1 Directory coordinator role} *)
 
@@ -128,7 +126,6 @@ type repl_hooks = {
 }
 
 val attach_repl : t -> repl_hooks -> unit
-val detach_repl : t -> unit
 
 (** Apply a quorum-committed op to the hosted directory, firing mutation
     hooks and lease callbacks exactly like a local mutation.  Raises

@@ -2,11 +2,6 @@ module Nodeid = Weakset_net.Nodeid
 
 type set_ref = { set_id : int; coordinator : Nodeid.t; replicas : Nodeid.t list }
 
-let pp_set_ref fmt r =
-  Format.fprintf fmt "set%d@%a[%a]" r.set_id Nodeid.pp r.coordinator
-    (Format.pp_print_list ~pp_sep:(fun f () -> Format.pp_print_char f ',') Nodeid.pp)
-    r.replicas
-
 (* Replication-group messages (lib/repl): a VSR-style state machine over
    [Directory.op] entries.  They live here, next to the client-facing
    requests, because one RPC fabric carries both — a group member is an
@@ -122,43 +117,6 @@ let request_label = function
   | Repl (Do_view_change _) -> "repl-dvc"
   | Repl (Start_view _) -> "repl-sv"
   | Repl (Get_state _) -> "repl-get-state"
-
-let pp_request fmt = function
-  | Fetch o -> Format.fprintf fmt "fetch %a" Oid.pp o
-  | Fetch_batch { oids } -> Format.fprintf fmt "fetch-batch n=%d" (List.length oids)
-  | Dir_read { set_id } -> Format.fprintf fmt "dir-read set%d" set_id
-  | Dir_read_at { set_id; version } ->
-      Format.fprintf fmt "dir-read-at set%d %a" set_id Version.pp version
-  | Dir_read_leased { set_id; lessee } ->
-      Format.fprintf fmt "dir-read-leased set%d lessee=%a" set_id Nodeid.pp lessee
-  | Inval { set_id; version } ->
-      Format.fprintf fmt "inval set%d %a" set_id Version.pp version
-  | Dir_add { set_id; oid } -> Format.fprintf fmt "dir-add set%d %a" set_id Oid.pp oid
-  | Dir_remove { set_id; oid } -> Format.fprintf fmt "dir-remove set%d %a" set_id Oid.pp oid
-  | Dir_size { set_id } -> Format.fprintf fmt "dir-size set%d" set_id
-  | Lock_acquire { set_id; kind; owner; patience } ->
-      Format.fprintf fmt "lock-acquire set%d %s owner=%d patience=%g" set_id
-        (match kind with Lockmgr.Read -> "read" | Lockmgr.Write -> "write")
-        owner patience
-  | Lock_release { set_id; owner } -> Format.fprintf fmt "lock-release set%d owner=%d" set_id owner
-  | Iter_open { set_id } -> Format.fprintf fmt "iter-open set%d" set_id
-  | Iter_close { set_id } -> Format.fprintf fmt "iter-close set%d" set_id
-  | Sync_pull { set_id; since } -> Format.fprintf fmt "sync-pull set%d since %a" set_id Version.pp since
-  | Repl (Prepare { group; view; opnum; op; commit }) ->
-      Format.fprintf fmt "repl-prepare set%d view=%d %a (%a) commit=%a" group view Version.pp
-        opnum Directory.pp_op op Version.pp commit
-  | Repl (Commit { group; view; commit }) ->
-      Format.fprintf fmt "repl-commit set%d view=%d commit=%a" group view Version.pp commit
-  | Repl (Start_view_change { group; view; from }) ->
-      Format.fprintf fmt "repl-svc set%d view=%d from=%d" group view from
-  | Repl (Do_view_change { group; view; from; last_normal; opnum; commit; log }) ->
-      Format.fprintf fmt "repl-dvc set%d view=%d from=%d last_normal=%d %a commit=%a |log|=%d"
-        group view from last_normal Version.pp opnum Version.pp commit (List.length log)
-  | Repl (Start_view { group; view; opnum; commit; log }) ->
-      Format.fprintf fmt "repl-sv set%d view=%d %a commit=%a |log|=%d" group view Version.pp
-        opnum Version.pp commit (List.length log)
-  | Repl (Get_state { group; since }) ->
-      Format.fprintf fmt "repl-get-state set%d since %a" group Version.pp since
 
 let pp_response fmt = function
   | Value v -> Format.fprintf fmt "value %a" Svalue.pp v

@@ -12,8 +12,6 @@ type set_ref = {
   replicas : Weakset_net.Nodeid.t list;
 }
 
-val pp_set_ref : Format.formatter -> set_ref -> unit
-
 (** Replication-group traffic (see [Weakset_repl.Group]): a VSR-style
     replicated state machine whose entries are {!Directory.op}s.  [group]
     is the replicated set's id; views number leader terms; [opnum] is the
@@ -129,5 +127,4 @@ val class_label : op_class -> string
     as the [op] field of [Store_op] trace events and as span names. *)
 val request_label : request -> string
 
-val pp_request : Format.formatter -> request -> unit
 val pp_response : Format.formatter -> response -> unit

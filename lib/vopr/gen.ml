@@ -260,140 +260,81 @@ let plan_to_json p =
 
 let ( let* ) = Result.bind
 
-let field name j =
-  match Json.member name j with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing field %S" name)
-
-let int_field name j =
-  let* v = field name j in
-  match Json.to_int v with
-  | Some i -> Ok i
-  | None -> Error (Printf.sprintf "field %S: expected int" name)
-
-let float_field name j =
-  let* v = field name j in
-  match Json.to_float v with
-  | Some f -> Ok f
-  | None -> Error (Printf.sprintf "field %S: expected number" name)
-
-let string_field name j =
-  let* v = field name j in
-  match Json.to_string v with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "field %S: expected string" name)
-
-let list_field name j =
-  let* v = field name j in
-  match Json.to_list v with
-  | Some l -> Ok l
-  | None -> Error (Printf.sprintf "field %S: expected array" name)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let ints_of_json name j =
-  let* l = list_field name j in
-  map_result
-    (fun v ->
-      match Json.to_int v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "field %S: expected int elements" name))
-    l
+(* An array whose every element [conv] accepts. *)
+let list_of conv v =
+  Option.bind (Json.to_list v) (fun l ->
+      let xs = List.filter_map conv l in
+      if List.compare_lengths xs l = 0 then Some xs else None)
 
 let op_of_json j =
-  let* kind = string_field "op" j in
+  let* kind = Json.field "op" Json.to_string j in
   match kind with
   | "add" ->
-      let* at = float_field "at" j in
+      let* at = Json.field "at" Json.to_float j in
       Ok (Add { at })
   | "remove" ->
-      let* at = float_field "at" j in
+      let* at = Json.field "at" Json.to_float j in
       Ok (Remove { at })
   | "size" ->
-      let* at = float_field "at" j in
+      let* at = Json.field "at" Json.to_float j in
       Ok (Size { at })
   | "iterate" ->
-      let* at = float_field "at" j in
-      let* semantics = string_field "semantics" j in
-      let* think = float_field "think" j in
-      let* limit = int_field "limit" j in
-      let* repeat = int_field "repeat" j in
+      let* at = Json.field "at" Json.to_float j in
+      let* semantics = Json.field "semantics" Json.to_string j in
+      let* think = Json.field "think" Json.to_float j in
+      let* limit = Json.field "limit" Json.to_int j in
+      let* repeat = Json.field "repeat" Json.to_int j in
       Ok (Iterate { at; semantics; think; limit; repeat })
   | k -> Error (Printf.sprintf "unknown op kind %S" k)
 
 let fault_of_json j =
-  let* kind = string_field "fault" j in
+  let* kind = Json.field "fault" Json.to_string j in
   match kind with
   | "crash" ->
-      let* node = int_field "node" j in
-      let* at = float_field "at" j in
-      let* recover_at = float_field "recover_at" j in
+      let* node = Json.field "node" Json.to_int j in
+      let* at = Json.field "at" Json.to_float j in
+      let* recover_at = Json.field "recover_at" Json.to_float j in
       Ok (Crash { node; at; recover_at })
   | "cut" ->
-      let* a = int_field "a" j in
-      let* b = int_field "b" j in
-      let* at = float_field "at" j in
-      let* heal_at = float_field "heal_at" j in
+      let* a = Json.field "a" Json.to_int j in
+      let* b = Json.field "b" Json.to_int j in
+      let* at = Json.field "at" Json.to_float j in
+      let* heal_at = Json.field "heal_at" Json.to_float j in
       Ok (Cut { a; b; at; heal_at })
   | "partition" ->
-      let* groups_j = list_field "groups" j in
-      let* groups =
-        map_result
-          (fun g ->
-            match Json.to_list g with
-            | None -> Error "partition groups: expected arrays"
-            | Some l ->
-                map_result
-                  (fun v ->
-                    match Json.to_int v with
-                    | Some i -> Ok i
-                    | None -> Error "partition groups: expected int elements")
-                  l)
-          groups_j
-      in
-      let* at = float_field "at" j in
-      let* heal_at = float_field "heal_at" j in
+      let* groups = Json.field "groups" (list_of (list_of Json.to_int)) j in
+      let* at = Json.field "at" Json.to_float j in
+      let* heal_at = Json.field "heal_at" Json.to_float j in
       Ok (Partition { groups; at; heal_at })
   | "herd" ->
-      let* at = float_field "at" j in
-      let* clients = int_field "clients" j in
-      let* burst = int_field "burst" j in
+      let* at = Json.field "at" Json.to_float j in
+      let* clients = Json.field "clients" Json.to_int j in
+      let* burst = Json.field "burst" Json.to_int j in
       Ok (Herd { at; clients; burst })
   | k -> Error (Printf.sprintf "unknown fault kind %S" k)
 
-let bool_field name j =
-  let* v = field name j in
-  match v with
-  | Json.Bool b -> Ok b
-  | _ -> Error (Printf.sprintf "field %S: expected bool" name)
-
 let config_of_json j =
-  let* shape_s = string_field "shape" j in
+  let* shape_s = Json.field "shape" Json.to_string j in
   let* shape =
     match shape_of_name shape_s with
     | Some s -> Ok s
     | None -> Error (Printf.sprintf "unknown shape %S" shape_s)
   in
-  let* nodes = int_field "nodes" j in
-  let* latency = float_field "latency" j in
-  let* replica_ixs = ints_of_json "replica_ixs" j in
-  let* replica_interval = float_field "replica_interval" j in
-  let* initial_size = int_field "initial_size" j in
-  let* cache = bool_field "cache" j in
-  let* lease_ttl = float_field "lease_ttl" j in
+  let* nodes = Json.field "nodes" Json.to_int j in
+  let* latency = Json.field "latency" Json.to_float j in
+  let* replica_ixs = Json.field "replica_ixs" (list_of Json.to_int) j in
+  let* replica_interval = Json.field "replica_interval" Json.to_float j in
+  let* initial_size = Json.field "initial_size" Json.to_int j in
+  let* cache = Json.field "cache" Json.to_bool j in
+  let* lease_ttl = Json.field "lease_ttl" Json.to_float j in
   (* Absent or null on bundles written before the knob existed. *)
   let* open_loop =
     match Json.member "open_loop" j with
     | None | Some Json.Null -> Ok None
     | Some ol ->
-        let* ol_rate = float_field "rate" ol in
-        let* ol_clients = int_field "clients" ol in
-        let* ol_bursty = bool_field "bursty" ol in
+        let* ol_rate = Json.field "rate" Json.to_float ol in
+        let* ol_clients = Json.field "clients" Json.to_int ol in
+        let* ol_bursty = Json.field "bursty" Json.to_bool ol in
         Ok (Some { ol_rate; ol_clients; ol_bursty })
   in
   Ok
@@ -410,7 +351,7 @@ let config_of_json j =
     }
 
 let plan_of_json j =
-  let* seed_j = field "seed" j in
+  let* seed_j = Json.field "seed" Option.some j in
   let* seed =
     match seed_j with
     | Json.Num s -> (
@@ -419,13 +360,13 @@ let plan_of_json j =
         | None -> Error (Printf.sprintf "seed: bad int64 lexeme %S" s))
     | _ -> Error "seed: expected number"
   in
-  let* config_j = field "config" j in
+  let* config_j = Json.field "config" Option.some j in
   let* config = config_of_json config_j in
-  let* ops_j = list_field "ops" j in
-  let* ops = map_result op_of_json ops_j in
-  let* faults_j = list_field "faults" j in
-  let* faults = map_result fault_of_json faults_j in
-  let* budget = float_field "budget" j in
+  let* ops_j = Json.field "ops" Json.to_list j in
+  let* ops = Json.map op_of_json ops_j in
+  let* faults_j = Json.field "faults" Json.to_list j in
+  let* faults = Json.map fault_of_json faults_j in
+  let* budget = Json.field "budget" Json.to_float j in
   Ok { seed; config; ops; faults; budget }
 
 let plan_of_string s =

@@ -444,64 +444,43 @@ let issue_to_json = function
 
 let ( let* ) = Result.bind
 
-let str name j =
-  match Json.member name j with
-  | Some v -> (
-      match Json.to_string v with
-      | Some s -> Ok s
-      | None -> Error (Printf.sprintf "issue field %S: expected string" name))
-  | None -> Error (Printf.sprintf "issue: missing field %S" name)
-
-let int_ name j =
-  match Json.member name j with
-  | Some v -> (
-      match Json.to_int v with
-      | Some i -> Ok i
-      | None -> Error (Printf.sprintf "issue field %S: expected int" name))
-  | None -> Error (Printf.sprintf "issue: missing field %S" name)
-
-let flt name j =
-  match Json.member name j with
-  | Some v -> (
-      match Json.to_float v with
-      | Some f -> Ok f
-      | None -> Error (Printf.sprintf "issue field %S: expected number" name))
-  | None -> Error (Printf.sprintf "issue: missing field %S" name)
-
 let issue_of_json j =
-  let* kind = str "issue" j in
+  let str k = Json.field k Json.to_string j
+  and int k = Json.field k Json.to_int j
+  and float k = Json.field k Json.to_float j in
+  let* kind = str "issue" in
   match kind with
   | "stale-beyond-lease" ->
-      let* time = flt "time" j in
-      let* set_id = int_ "set_id" j in
-      let* served = int_ "served" j in
-      let* required = int_ "required" j in
-      let* age = flt "age" j in
+      let* time = float "time" in
+      let* set_id = int "set_id" in
+      let* served = int "served" in
+      let* required = int "required" in
+      let* age = float "age" in
       Ok (Stale_beyond_lease { time; set_id; served; required; age })
   | "spec-violation" ->
-      let* iteration = int_ "iteration" j in
-      let* semantics = str "semantics" j in
-      let* where = str "where" j in
-      let* message = str "message" j in
+      let* iteration = int "iteration" in
+      let* semantics = str "semantics" in
+      let* where = str "where" in
+      let* message = str "message" in
       Ok (Spec_violation { iteration; semantics; where; message })
   | "monitor-mismatch" ->
-      let* iteration = int_ "iteration" j in
-      let* semantics = str "semantics" j in
-      let* detail = str "detail" j in
+      let* iteration = int "iteration" in
+      let* semantics = str "semantics" in
+      let* detail = str "detail" in
       Ok (Monitor_mismatch { iteration; semantics; detail })
   | "fiber-crash" ->
-      let* fiber = str "fiber" j in
-      let* exn_text = str "exn" j in
+      let* fiber = str "fiber" in
+      let* exn_text = str "exn" in
       Ok (Fiber_crash { fiber; exn_text })
   | "stuck-iterator" ->
-      let* iteration = int_ "iteration" j in
-      let* semantics = str "semantics" j in
+      let* iteration = int "iteration" in
+      let* semantics = str "semantics" in
       Ok (Stuck_iterator { iteration; semantics })
   | "steps-exhausted" ->
-      let* steps = int_ "steps" j in
+      let* steps = int "steps" in
       Ok (Steps_exhausted { steps })
   | "leaked-fibers" ->
-      let* count = int_ "count" j in
+      let* count = int "count" in
       let fibers =
         match Option.bind (Json.member "fibers" j) Json.to_list with
         | Some l -> List.filter_map Json.to_string l
@@ -509,24 +488,24 @@ let issue_of_json j =
       in
       Ok (Leaked_fibers { count; fibers })
   | "lost-rpc" ->
-      let* count = int_ "count" j in
+      let* count = int "count" in
       Ok (Lost_rpc { count })
   | "commit-lost" ->
-      let* opnum = int_ "opnum" j in
-      let* op = str "op" j in
-      let* node = int_ "node" j in
+      let* opnum = int "opnum" in
+      let* op = str "op" in
+      let* node = int "node" in
       Ok (Commit_lost { opnum; op; node })
   | "commit-reordered" ->
-      let* opnum = int_ "opnum" j in
-      let* first = str "first" j in
-      let* second = str "second" j in
-      let* node = int_ "node" j in
+      let* opnum = int "opnum" in
+      let* first = str "first" in
+      let* second = str "second" in
+      let* node = int "node" in
       Ok (Commit_reordered { opnum; first; second; node })
   | "election-overdue" ->
-      let* deadline = flt "deadline" j in
+      let* deadline = float "deadline" in
       Ok (Election_overdue { deadline })
   | "shed-divergence" ->
-      let* node = int_ "node" j in
+      let* node = int "node" in
       let str_list name =
         match Option.bind (Json.member name j) Json.to_list with
         | Some l -> List.filter_map Json.to_string l

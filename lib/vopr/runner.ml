@@ -489,15 +489,6 @@ let bundle_to_json b =
 
 let ( let* ) = Result.bind
 
-let map_result f l =
-  List.fold_left
-    (fun acc x ->
-      let* acc = acc in
-      let* y = f x in
-      Ok (y :: acc))
-    (Ok []) l
-  |> Result.map List.rev
-
 (* Version 1 bundles hold digests of the text chain that preceded the
    binary one, so no replay can match them. *)
 let check_version j =
@@ -516,21 +507,16 @@ let bundle_of_string s =
   | None -> Error "malformed JSON"
   | Some j ->
       let* () = check_version j in
-      let field key conv =
-        match Option.bind (Json.member key j) conv with
-        | Some v -> Ok v
-        | None -> Error (Printf.sprintf "missing field %S" key)
-      in
-      let bool = function Json.Bool b -> Some b | _ -> None in
+      let field k conv = Json.field k conv j in
       let* plan = field "plan" Option.some in
       let* plan = Gen.plan_of_json plan in
       let* digest = field "digest" Json.to_string in
       let* events = field "events" Json.to_int in
       let* issues = field "issues" Json.to_list in
-      let* issues = map_result Oracle.issue_of_json issues in
-      let* grow_only_drop = field "planted_bug" bool in
-      let* inval_drop = field "planted_cache_bug" bool in
-      let* axiom_flip = field "planted_spec_bug" bool in
+      let* issues = Json.map Oracle.issue_of_json issues in
+      let* grow_only_drop = field "planted_bug" Json.to_bool in
+      let* inval_drop = field "planted_cache_bug" Json.to_bool in
+      let* axiom_flip = field "planted_spec_bug" Json.to_bool in
       let* step_cap = field "step_cap" Json.to_int in
       let* blackbox = field "blackbox" Json.to_list in
       Ok

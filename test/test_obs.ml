@@ -518,15 +518,20 @@ let json_roundtrip_property =
 
 let digest1 e = Obs.Digest.of_events [ e ]
 
-(* Canonical renderings are injective, so events they tell apart are
-   different events, and the binary encoding must tell them apart too. *)
+let binary e =
+  let b = Buffer.create 64 in
+  Obs.Event.write_binary b e;
+  Buffer.contents b
+
+(* Different events have different binary encodings, and events with
+   different encodings digest differently. *)
 let digest_separates_events_property =
-  QCheck.Test.make ~count:1000 ~name:"different canonical renderings, different digests"
+  QCheck.Test.make ~count:1000 ~name:"different encodings, different digests"
     (QCheck.make
-       ~print:(fun (a, b) -> Obs.Event.to_canonical a ^ " / " ^ Obs.Event.to_canonical b)
+       ~print:(fun (a, b) -> Obs.Event.to_json a ^ " / " ^ Obs.Event.to_json b)
        QCheck.Gen.(pair gen_event gen_event))
     (fun (a, b) ->
-      Obs.Event.to_canonical a = Obs.Event.to_canonical b || digest1 a <> digest1 b)
+      (a = b || binary a <> binary b) && (binary a = binary b || digest1 a <> digest1 b))
 
 (* Lengths prefix strings and lists, so moving a boundary changes the
    bytes even when the concatenated contents do not. *)
@@ -591,17 +596,10 @@ let test_digest_value_mid_stream () =
 (* ------------------------------------------------------------------ *)
 
 (* Reference copies of the Printf renderers the writers replaced.  The
-   canonical rendering is the digest's input and the JSON rendering is
-   in every black-box dump, so the writers must reproduce these byte
-   for byte. *)
+   JSON rendering is in every trace file and black-box dump, so the
+   writer must reproduce it byte for byte. *)
 module Printf_reference = struct
   open Obs.Event
-
-  let hexf f = Printf.sprintf "%h" f
-  let node_str n = "n" ^ string_of_int n
-  let opt_int_str = function None -> "-" | Some i -> string_of_int i
-  let elem_string e = Printf.sprintf "%d:%s" e.elem_id e.elem_label
-  let elems_string es = String.concat "," (List.map elem_string es)
 
   let phase_string = function
     | Phase_first -> "first"
@@ -630,77 +628,6 @@ module Printf_reference = struct
     | Rpc_ok -> "ok"
     | Rpc_timeout -> "timeout"
     | Rpc_unreachable -> "unreachable"
-
-  let park_string = function
-    | Park_sleep wake -> "sleep until=" ^ hexf wake
-    | p -> park_base p
-
-  let detail = function
-    | Fiber_spawn { fid; fiber } -> Printf.sprintf "spawn #%d %s" fid fiber
-    | Run_begin { fid; fiber } -> Printf.sprintf "begin #%d %s" fid fiber
-    | Run_end { fid; fiber; park } ->
-        Printf.sprintf "end #%d %s %s" fid fiber (park_string park)
-    | Fiber_crash { fiber; exn_text } -> fiber ^ ": " ^ exn_text
-    | Sched { at } -> "at=" ^ hexf at
-    | Fault_node_crash { node } -> "crash " ^ node_str node
-    | Fault_node_recover { node } -> "recover " ^ node_str node
-    | Fault_link_cut { a; b } -> "cut " ^ node_str a ^ "-" ^ node_str b
-    | Fault_link_heal { a; b } -> "heal " ^ node_str a ^ "-" ^ node_str b
-    | Fault_partition -> "partition"
-    | Fault_heal_all -> "heal-all"
-    | Net_send { src; dst; lc } ->
-        Printf.sprintf "send %s->%s lc=%d" (node_str src) (node_str dst) lc
-    | Net_deliver { src; dst; sent_at; send_lc; lc } ->
-        Printf.sprintf "deliver %s->%s sent=%s slc=%d lc=%d" (node_str src)
-          (node_str dst) (hexf sent_at) send_lc lc
-    | Net_drop { src; dst; reason } ->
-        Printf.sprintf "drop %s->%s %s" (node_str src) (node_str dst)
-          (drop_reason_string reason)
-    | Rpc_call { src; dst; id; lc; parent } ->
-        Printf.sprintf "call#%d %s->%s lc=%d parent=%s" id (node_str src)
-          (node_str dst) lc (opt_int_str parent)
-    | Rpc_done { src; dst; id; outcome; lc } ->
-        Printf.sprintf "done#%d %s->%s %s lc=%d" id (node_str src) (node_str dst)
-          (rpc_outcome_string outcome) lc
-    | Span_start { span; parent; name; node } ->
-        Printf.sprintf "start#%d %s%s parent=%s" span name
-          (match node with None -> "" | Some n -> " @" ^ node_str n)
-          (opt_int_str parent)
-    | Span_end { span; name; node; dur } ->
-        Printf.sprintf "end#%d %s%s dur=%s" span name
-          (match node with None -> "" | Some n -> " @" ^ node_str n)
-          (hexf dur)
-    | Store_op { node; op; parent } ->
-        Printf.sprintf "%s @%s parent=%s" op (node_str node) (opt_int_str parent)
-    | Cache_hit { node; ckind; id; version; age } ->
-        Printf.sprintf "hit %s#%d @%s v=%d age=%s" (cache_kind_string ckind) id
-          (node_str node) version (hexf age)
-    | Cache_miss { node; ckind; id } ->
-        Printf.sprintf "miss %s#%d @%s" (cache_kind_string ckind) id (node_str node)
-    | Cache_inval { node; set_id; version } ->
-        Printf.sprintf "inval dir#%d @%s v=%d" set_id (node_str node) version
-    | Lease_expire { node; ckind; id } ->
-        Printf.sprintf "expire %s#%d @%s" (cache_kind_string ckind) id (node_str node)
-    | Spec_observe { set_id; phase; s; accessible } ->
-        let extra =
-          match phase with
-          | Phase_suspends e -> " e=" ^ elem_string e
-          | Phase_mutation (Spec_add e) | Phase_mutation (Spec_remove e) ->
-              " e=" ^ elem_string e
-          | _ -> ""
-        in
-        Printf.sprintf "set#%d %s%s s=[%s] acc=[%s]" set_id (phase_string phase)
-          extra (elems_string s) (elems_string accessible)
-    | Alert { source; op; severity; burn; window; detail } ->
-        Printf.sprintf "[%s] %s/%s burn=%s window=%s %s" (severity_string severity)
-          source op (hexf burn) (hexf window) detail
-    | Spec_violation { set_id; where; message } ->
-        Printf.sprintf "set#%d %s: %s" set_id where message
-    | Custom { detail; _ } -> detail
-
-  let to_canonical t =
-    Printf.sprintf "%d|%s|%s|%s" t.seq (hexf t.time) (label t.kind)
-      (detail t.kind)
 
   let json_escape s =
     let buf = Buffer.create (String.length s + 8) in
@@ -853,27 +780,17 @@ let gen_any_float =
         (1, float);
       ])
 
-let hexf_property =
-  QCheck.Test.make ~count:5000 ~name:"hex float writer = Printf %h"
-    (QCheck.make ~print:(fun f -> Printf.sprintf "%h" f) gen_any_float)
-    (fun f ->
-      (* A kind with no payload leaves the time as the only float. *)
-      let e = { Obs.Event.seq = 0; time = f; kind = Obs.Event.Fault_partition } in
-      Obs.Event.to_canonical e = "0|" ^ Printf.sprintf "%h" f ^ "|fault|partition")
-
 let writers_match_reference e =
-  let canon = Obs.Event.to_canonical e and json = Obs.Event.to_json e in
+  let json = Obs.Event.to_json e in
   let buf = Buffer.create 16 in
   Buffer.add_string buf "prefix";
   Obs.Event.write_json buf e;
-  if canon <> Printf_reference.to_canonical e then
-    QCheck.Test.fail_reportf "canonical: got %S, want %S" canon (Printf_reference.to_canonical e)
-  else if json <> Printf_reference.to_json e then
+  if json <> Printf_reference.to_json e then
     QCheck.Test.fail_reportf "json: got %S, want %S" json (Printf_reference.to_json e)
   else Buffer.contents buf = "prefix" ^ json
 
 let writers_property =
-  QCheck.Test.make ~count:2000 ~name:"canonical and JSON writers = Printf renderers"
+  QCheck.Test.make ~count:2000 ~name:"JSON writer = Printf renderer"
     (QCheck.make ~print:Printf_reference.to_json (gen_event_with gen_any_float))
     writers_match_reference
 
@@ -898,13 +815,14 @@ let oid_label_property =
       Oid.to_string o = Printf_reference.oid_to_string o)
 
 (* ------------------------------------------------------------------ *)
-(* Canonical stream carries the causal metadata                        *)
+(* The recorded stream carries the causal metadata                     *)
 (* ------------------------------------------------------------------ *)
 
-let test_canonical_covers_causal_metadata () =
-  (* The digest determinism tests above assert equality of canonical
+let test_json_covers_causal_metadata () =
+  (* The digest determinism tests above assert equality of whole event
      streams; this pins that those streams actually include the Lamport
-     stamps and span parents, so a regression in either breaks digests. *)
+     stamps and span parents, so a regression in either breaks digests
+     and shows in every trace file. *)
   let eng = Engine.create ~seed:9L () in
   let ring = Obs.Ring.create ~capacity:100_000 in
   Obs.Bus.attach (Engine.bus eng) ~name:"ring" (Obs.Ring.sink ring);
@@ -919,11 +837,11 @@ let test_canonical_covers_causal_metadata () =
   Engine.spawn eng ~name:"w" (fun () ->
       match Client.fetch client oid with Ok _ | Error _ -> ());
   let (_ : int) = Engine.run eng in
-  let canon = List.map Obs.Event.to_canonical (Obs.Ring.to_list ring) in
-  let has sub = List.exists (fun s -> contains s sub) canon in
-  check_bool "net events carry lc=" true (has "lc=");
-  check_bool "deliveries carry slc=" true (has "slc=");
-  check_bool "spans carry parent=" true (has "parent=")
+  let json = List.map Obs.Event.to_json (Obs.Ring.to_list ring) in
+  let has sub = List.exists (fun s -> contains s sub) json in
+  check_bool "net events carry lc" true (has {|"lc":|});
+  check_bool "deliveries carry send_lc" true (has {|"send_lc":|});
+  check_bool "spans carry parent" true (has {|"parent":|})
 
 (* ------------------------------------------------------------------ *)
 (* JSONL sink                                                         *)
@@ -981,12 +899,11 @@ let () =
         [
           Alcotest.test_case "every kind constructor" `Quick test_json_roundtrip_examples;
           QCheck_alcotest.to_alcotest json_roundtrip_property;
-          Alcotest.test_case "canonical covers causal metadata" `Quick
-            test_canonical_covers_causal_metadata;
+          Alcotest.test_case "JSON covers causal metadata" `Quick
+            test_json_covers_causal_metadata;
         ] );
       ( "writers",
         [
-          QCheck_alcotest.to_alcotest hexf_property;
           QCheck_alcotest.to_alcotest writers_property;
           Alcotest.test_case "every kind constructor" `Quick test_writers_every_constructor;
           QCheck_alcotest.to_alcotest oid_label_property;

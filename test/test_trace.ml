@@ -15,6 +15,11 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 (* ------------------------------------------------------------------ *)
 (* Fixtures                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -228,15 +233,88 @@ let test_jsonl_file_roundtrip () =
         (Obs.Digest.of_events seg.Trace.events)
   | segs -> Alcotest.failf "expected one segment, got %d" (List.length segs)
 
+(* [events] with the [i]-th event passed through [f]. *)
+let change_at i f events = List.mapi (fun j e -> if j = i then f e else e) events
+
 let test_diff_detects_divergence () =
   let ea = record_scenario 5 in
   let eb = record_scenario 5 in
   (match Trace.diff_events ea eb with
   | Trace.Identical { events; _ } -> check_int "same length" (List.length ea) events
   | Trace.Diverged _ -> Alcotest.fail "same seed must not diverge");
-  match Trace.diff_events ea (record_scenario 6) with
+  (match Trace.diff_events ea (record_scenario 6) with
   | Trace.Diverged _ -> ()
-  | Trace.Identical _ -> Alcotest.fail "different seeds must diverge"
+  | Trace.Identical _ -> Alcotest.fail "different seeds must diverge");
+  (* One field of one event: a time one ulp later, or a Lamport clock
+     one tick ahead.  The diff stops exactly there and shows both sides
+     as JSON. *)
+  let mid = List.length ea / 2 in
+  let is_send (e : Obs.Event.t) = match e.kind with Obs.Event.Net_send _ -> true | _ -> false in
+  let send_ix = Option.get (List.find_index is_send ea) in
+  List.iter
+    (fun (what, ix, f) ->
+      let eb = change_at ix f ea in
+      let result = Trace.diff_events ea eb in
+      (match result with
+      | Trace.Diverged { common_prefix; left = Some l; right = Some r; _ } ->
+          check_int (what ^ ": diverges at the changed event") ix common_prefix;
+          check_bool (what ^ ": left is the original") true (l == List.nth ea ix);
+          check_bool (what ^ ": right is the changed one") true (r == List.nth eb ix)
+      | _ -> Alcotest.failf "%s: one changed field must diverge" what);
+      let out = Trace.render_diff ~left_name:"a" ~right_name:"b" result in
+      check_bool (what ^ ": prints the common prefix") true
+        (contains out (Printf.sprintf "diverged after %d common events" ix));
+      check_bool (what ^ ": prints the left event as JSON") true
+        (contains out ("  a: " ^ Obs.Event.to_json (List.nth ea ix) ^ "\n"));
+      check_bool (what ^ ": prints the right event as JSON") true
+        (contains out ("  b: " ^ Obs.Event.to_json (List.nth eb ix) ^ "\n")))
+    [
+      ("time one ulp apart", mid, fun e -> { e with Obs.Event.time = Float.succ e.Obs.Event.time });
+      ( "lc one tick ahead",
+        send_ix,
+        fun e ->
+          match e.Obs.Event.kind with
+          | Obs.Event.Net_send s -> { e with kind = Obs.Event.Net_send { s with lc = s.lc + 1 } }
+          | _ -> e );
+    ]
+
+(* The diff command's exit status: 0 for identical traces, 1 when they
+   differ by an event, by an extra world or by a world's name. *)
+let test_diff_cli_exit_status () =
+  let events = List.filteri (fun i _ -> i < 200) (record_scenario 5) in
+  let file segments =
+    let path = Filename.temp_file "trace" ".jsonl" in
+    let w = Obs.Jsonl.open_file path in
+    List.iter
+      (fun (name, evs) ->
+        Obs.Jsonl.note w name;
+        List.iter (Obs.Jsonl.write w) evs)
+      segments;
+    Obs.Jsonl.close w;
+    path
+  in
+  let late = change_at 150 (fun e -> { e with Obs.Event.time = Float.succ e.Obs.Event.time }) in
+  let base = file [ ("w", events) ] in
+  List.iter
+    (fun (what, segments, code, expect) ->
+      let other = file segments and out = Filename.temp_file "trace" ".out" in
+      let got =
+        Sys.command
+          (Printf.sprintf "../bin/weakset_trace.exe diff %s %s > %s" (Filename.quote base)
+             (Filename.quote other) (Filename.quote out))
+      in
+      let stdout = In_channel.with_open_text out In_channel.input_all in
+      Sys.remove other;
+      Sys.remove out;
+      check_int (what ^ ": exit code") code got;
+      check_bool (what ^ ": says so") true (contains stdout expect))
+    [
+      ("identical", [ ("w", events) ], 0, "identical: 200 events");
+      ("one event differs", [ ("w", late events) ], 1, "diverged after 150 common events");
+      ("an extra world", [ ("w", events); ("x", events) ], 1, "has 1 extra world(s)");
+      ("a world renamed", [ ("v", events) ], 1, "names differ");
+    ];
+  Sys.remove base
 
 let () =
   Alcotest.run "weakset_trace"
@@ -266,5 +344,6 @@ let () =
         [
           Alcotest.test_case "file round trip" `Quick test_jsonl_file_roundtrip;
           Alcotest.test_case "diff detects divergence" `Quick test_diff_detects_divergence;
+          Alcotest.test_case "diff exit status" `Quick test_diff_cli_exit_status;
         ] );
     ]

@@ -116,7 +116,8 @@ let test_bundle_roundtrip () =
 (* Bundles say which digest format they carry: the current version
    round-trips, and a version 1 bundle, whose text-chained digest no
    replay can match, is refused with an error naming the format instead
-   of surfacing later as a digest mismatch. *)
+   of surfacing later as a digest mismatch.  A current bundle that lacks
+   a field is refused naming it. *)
 let test_bundle_version () =
   let json = Runner.bundle_to_json (Runner.bundle_of_result (Runner.execute (Gen.generate 5L))) in
   check_bool "written as version 2" true (contains json {|{"version":2,|});
@@ -133,7 +134,11 @@ let test_bundle_version () =
   let v1 = refused "version 1" (replace_first json {|"version":2|} {|"version":1|}) in
   check_bool "names the version" true (contains v1 "bundle version 1");
   let unversioned = refused "no version" (replace_first json {|"version":2,|} "") in
-  check_bool "names the missing version" true (contains unversioned "bundle version missing")
+  check_bool "names the missing version" true (contains unversioned "bundle version missing");
+  let digest = (Result.get_ok (Runner.bundle_of_string json)).Runner.b_digest in
+  match Runner.bundle_of_string (replace_first json ({|"digest":"|} ^ digest ^ {|",|}) "") with
+  | Ok _ -> Alcotest.fail "a bundle without its digest accepted"
+  | Error e -> check_bool "names the missing field" true (contains e {|"digest"|})
 
 let test_replay_reproduces () =
   let result = Runner.execute (Gen.generate 7L) in
