@@ -44,16 +44,17 @@ design-map:
 	    for (f in named) if (!(f in exists)) { print "design-map: DESIGN.md section 5 names missing " f; bad = 1 } \
 	    exit bad }' - DESIGN.md
 
-# No process-global mutable state in the libraries: a binding to a ref,
-# hash table, buffer or array at the top level of a module (or of a
-# submodule) is shared by every run in the process, so runs could no
-# longer be told apart by their inputs alone.  A local binding ends its
-# line with `in` and is allowed.
+# No process-global mutable state in lib/ or bench/: a binding to a
+# ref, hash table, buffer or array at the top level of a module (or of
+# a submodule) is shared by every run in the process, so runs could no
+# longer be told apart by their inputs alone (bench/ threads its
+# outputs through one Observer value instead).  A local binding ends
+# its line with `in` and is allowed.
 no-globals:
-	@! find lib -name '*.ml' | sort | xargs grep -nE \
+	@! find lib bench -name '*.ml' | sort | xargs grep -nE \
 	  "^ *let +[a-z_][A-Za-z0-9_']* *(:[^=]*)?= *(ref|Hashtbl\.create|Buffer\.create|Array\.make)\b" \
 	  | grep -vE "\bin *(\(\*.*)?$$" | grep . \
-	  || { echo "no-globals: a lib/ module binds process-global mutable state (above)"; exit 1; }
+	  || { echo "no-globals: a lib/ or bench/ module binds process-global mutable state (above)"; exit 1; }
 
 # The regression gate: rerun the seeded baseline suite (deterministic,
 # well under a second) and require it to reproduce the committed

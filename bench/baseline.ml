@@ -16,26 +16,24 @@ let schema = "weakset-bench-baseline-v1"
 
 let sizes = [ 16; 64 ]
 
-let collect () =
+let collect ?obs () =
   let metrics = ref [] in
   let push k v = metrics := (k, v) :: !metrics in
+  let require k what = function
+    | Some v -> push k v
+    | None -> failwith (Printf.sprintf "baseline: %s for %s" what k)
+  in
   List.iter
     (fun size ->
       List.iter
         (fun (sname, sem) ->
-          let w = Scenarios.clique_world ~seed:(9000 + size) ~size () in
-          let before = (Weakset_net.Rpc.stats w.Scenarios.rpc).Weakset_net.Netstat.sent in
+          let w = Scenarios.clique_world ?obs ~seed:(9000 + size) ~size () in
+          let before = Scenarios.sent_messages w in
           let r = Scenarios.run_iteration ~think:1.0 w sem in
-          let sent =
-            (Weakset_net.Rpc.stats w.Scenarios.rpc).Weakset_net.Netstat.sent - before
-          in
+          let sent = Scenarios.sent_messages w - before in
           let key what = Printf.sprintf "iter.%s.n%d.%s" sname size what in
-          (match r.Scenarios.first_at with
-          | Some f -> push (key "first") f
-          | None -> failwith ("baseline: no first yield for " ^ key "first"));
-          (match r.Scenarios.total with
-          | Some t -> push (key "total") t
-          | None -> failwith ("baseline: run did not terminate for " ^ key "total"));
+          require (key "first") "no first yield" r.Scenarios.first_at;
+          require (key "total") "run did not terminate" r.Scenarios.total;
           push (key "msgs") (float_of_int sent))
         Scenarios.named_semantics)
     sizes;
@@ -45,20 +43,16 @@ let collect () =
   List.iter
     (fun size ->
       let w =
-        Scenarios.clique_world ~seed:(9200 + size)
+        Scenarios.clique_world ?obs ~seed:(9200 + size)
           ~cache:{ Weakset_store.Cache.capacity = 256; ttl = 600.0 }
           ~lease_ttl:600.0 ~size ()
       in
       let measure what =
-        let before = (Weakset_net.Rpc.stats w.Scenarios.rpc).Weakset_net.Netstat.sent in
+        let before = Scenarios.sent_messages w in
         let r = Scenarios.run_iteration ~think:1.0 w Weakset_core.Semantics.optimistic in
-        let sent =
-          (Weakset_net.Rpc.stats w.Scenarios.rpc).Weakset_net.Netstat.sent - before
-        in
+        let sent = Scenarios.sent_messages w - before in
         let key k = Printf.sprintf "iter.cached-%s.n%d.%s" what size k in
-        (match r.Scenarios.total with
-        | Some t -> push (key "total") t
-        | None -> failwith ("baseline: run did not terminate for " ^ key "total"));
+        require (key "total") "run did not terminate" r.Scenarios.total;
         push (key "msgs") (float_of_int sent)
       in
       measure "cold";
@@ -69,8 +63,9 @@ let collect () =
      intent/send p99.9 at the knee pin down the coordinated-omission gap
      we must keep seeing. *)
   let curve, _alerts =
-    Experiments.e13_curve ~clients:16 ~duration:120.0 ~seed_base:13_500
-      ~label:"baseline-optimistic" ~sem:Weakset_core.Semantics.optimistic ~bursty:false ()
+    Experiments.ladder_curve ?obs ~clients:16 ~duration:120.0
+      (Experiments.design_point ~seed_base:13_500 ~label:"baseline-optimistic"
+         ~sem:Weakset_core.Semantics.optimistic ~bursty:false)
   in
   (match curve.Weakset_load.Sweep.knee with
   | None -> failwith "baseline: e13 sweep detected no knee"

@@ -1,25 +1,22 @@
 (* Command-line parsing for the bench driver, factored out of main so
-   the test suite can exercise the strict-parsing rules directly.  An
-   unknown or malformed argument is an [`Error] naming the offending
-   flag, never silently ignored; a value-taking flag refuses another
-   flag as its value (so [--metrics-json --e12] is a missing-argument
-   error, not a file called "--e12").  Experiment-scoped options
-   ([--lease-ttl]/[--warm-iters] for --cache, [--curves-json]/
-   [--load-clients]/[--load-duration] for --e13) are rejected without
-   their experiment. *)
+   the test suite can exercise the strict-parsing rules directly.
+   [flags] declares every flag once.  An unknown or malformed argument
+   is an [`Error] naming the offending flag; a value-taking flag refuses
+   another flag as its value (so [--metrics-json --e12] is a missing-
+   argument error, not a file called "--e12"); and a flag scoped to an
+   experiment is rejected without it. *)
 
 let usage =
   "usage: weakset_bench [--metrics-json FILE] [--trace-jsonl FILE]\n\
-  \                     [--profile-json FILE] [--slo-report] [--blackbox-dir DIR]\n\
+  \                     [--slo-report] [--blackbox-dir DIR]\n\
   \                     [--baseline FILE]\n\
   \                     [--cache] [--lease-ttl T] [--warm-iters N]\n\
   \                     [--e12] [--e13] [--admission] [--curves-json FILE]\n\
   \                     [--load-clients N] [--load-duration T]\n\n\
   \  --metrics-json FILE  dump every world's metrics registry as JSON\n\
   \  --trace-jsonl FILE   write the full typed event stream as JSONL\n\
-  \                       (analyse with weakset_trace)\n\
-  \  --profile-json FILE  dump every world's simulated-time profile as JSON\n\
-  \                       (deterministic; same seed => identical bytes)\n\
+  \                       (analyse with weakset_trace, which also renders\n\
+  \                       each world's simulated-time profile)\n\
   \  --slo-report         attach SLO trackers to every world and print the\n\
   \                       per-world burn-rate report at the end\n\
   \  --blackbox-dir DIR   attach a flight recorder to every world; write any\n\
@@ -46,7 +43,6 @@ let usage =
 type opts = {
   mutable metrics_json : string option;
   mutable trace_jsonl : string option;
-  mutable profile_json : string option;
   mutable slo_report : bool;
   mutable blackbox_dir : string option;
   mutable baseline : string option;
@@ -65,7 +61,6 @@ let defaults () =
   {
     metrics_json = None;
     trace_jsonl = None;
-    profile_json = None;
     slo_report = false;
     blackbox_dir = None;
     baseline = None;
@@ -84,90 +79,77 @@ let defaults () =
    argument, not a filename; reject it so the mistake is named. *)
 let flag_like s = String.length s > 1 && s.[0] = '-'
 
+(* What a flag takes: nothing, a path, a positive integer or a positive
+   float; each kind carries the field it sets. *)
+type kind =
+  | Switch of (opts -> unit)
+  | Path of (opts -> string -> unit)
+  | Count of (opts -> int -> unit)
+  | Amount of (opts -> float -> unit)
+
+(* The experiment a scoped flag needs: how errors name it, and whether
+   the parsed options select it. *)
+let cache = ("the --cache experiment", fun o -> o.cache)
+let e13 = ("the --e13 sweep", fun o -> o.e13)
+
+(* Every flag once: its name, its kind and the experiment it needs. *)
+let flags =
+  [
+    ("--metrics-json", Path (fun o v -> o.metrics_json <- Some v), None);
+    ("--trace-jsonl", Path (fun o v -> o.trace_jsonl <- Some v), None);
+    ("--slo-report", Switch (fun o -> o.slo_report <- true), None);
+    ("--blackbox-dir", Path (fun o v -> o.blackbox_dir <- Some v), None);
+    ("--baseline", Path (fun o v -> o.baseline <- Some v), None);
+    ("--cache", Switch (fun o -> o.cache <- true), None);
+    ("--lease-ttl", Amount (fun o t -> o.lease_ttl <- Some t), Some cache);
+    ("--warm-iters", Count (fun o n -> o.warm_iters <- Some n), Some cache);
+    ("--e12", Switch (fun o -> o.e12 <- true), None);
+    ("--e13", Switch (fun o -> o.e13 <- true), None);
+    ("--curves-json", Path (fun o v -> o.curves_json <- Some v), Some e13);
+    ("--load-clients", Count (fun o n -> o.load_clients <- Some n), Some e13);
+    ("--load-duration", Amount (fun o t -> o.load_duration <- Some t), Some e13);
+    ("--admission", Switch (fun o -> o.admission <- true), Some e13);
+  ]
+
 let parse args =
   let o = defaults () in
   let error fmt = Printf.ksprintf (fun s -> `Error s) fmt in
-  let rec go = function
-    | [] ->
-        if o.lease_ttl <> None && not o.cache then
-          error "--lease-ttl only applies to the --cache experiment"
-        else if o.warm_iters <> None && not o.cache then
-          error "--warm-iters only applies to the --cache experiment"
-        else if o.curves_json <> None && not o.e13 then
-          error "--curves-json only applies to the --e13 sweep"
-        else if o.load_clients <> None && not o.e13 then
-          error "--load-clients only applies to the --e13 sweep"
-        else if o.load_duration <> None && not o.e13 then
-          error "--load-duration only applies to the --e13 sweep"
-        else if o.admission && not o.e13 then
-          error "--admission only applies to the --e13 sweep"
-        else `Ok o
-    | "--slo-report" :: rest ->
-        o.slo_report <- true;
-        go rest
-    | "--cache" :: rest ->
-        o.cache <- true;
-        go rest
-    | "--e12" :: rest ->
-        o.e12 <- true;
-        go rest
-    | "--e13" :: rest ->
-        o.e13 <- true;
-        go rest
-    | "--admission" :: rest ->
-        o.admission <- true;
-        go rest
-    | "--metrics-json" :: v :: rest when not (flag_like v) ->
-        o.metrics_json <- Some v;
-        go rest
-    | "--trace-jsonl" :: v :: rest when not (flag_like v) ->
-        o.trace_jsonl <- Some v;
-        go rest
-    | "--profile-json" :: v :: rest when not (flag_like v) ->
-        o.profile_json <- Some v;
-        go rest
-    | "--blackbox-dir" :: v :: rest when not (flag_like v) ->
-        o.blackbox_dir <- Some v;
-        go rest
-    | "--baseline" :: v :: rest when not (flag_like v) ->
-        o.baseline <- Some v;
-        go rest
-    | "--curves-json" :: v :: rest when not (flag_like v) ->
-        o.curves_json <- Some v;
-        go rest
-    | "--lease-ttl" :: v :: rest when not (flag_like v) -> (
-        match float_of_string_opt v with
-        | Some t when t > 0.0 ->
-            o.lease_ttl <- Some t;
-            go rest
-        | _ -> error "--lease-ttl expects a positive float, got %S" v)
-    | "--warm-iters" :: v :: rest when not (flag_like v) -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 ->
-            o.warm_iters <- Some n;
-            go rest
-        | _ -> error "--warm-iters expects a positive integer, got %S" v)
-    | "--load-clients" :: v :: rest when not (flag_like v) -> (
-        match int_of_string_opt v with
-        | Some n when n > 0 ->
-            o.load_clients <- Some n;
-            go rest
-        | _ -> error "--load-clients expects a positive integer, got %S" v)
-    | "--load-duration" :: v :: rest when not (flag_like v) -> (
-        match float_of_string_opt v with
-        | Some t when t > 0.0 ->
-            o.load_duration <- Some t;
-            go rest
-        | _ -> error "--load-duration expects a positive float, got %S" v)
-    | (("--metrics-json" | "--trace-jsonl" | "--profile-json" | "--blackbox-dir"
-       | "--baseline" | "--curves-json" | "--lease-ttl" | "--warm-iters" | "--load-clients"
-       | "--load-duration") as flag)
-      :: rest -> (
-        (* Either nothing follows, or the next token is itself a flag. *)
-        match rest with
-        | v :: _ -> error "%s expects a value, got flag %S" flag v
-        | [] -> error "%s expects an argument" flag)
+  (* [given] holds the flags seen so far, for the scope checks at the
+     end. *)
+  let rec go given = function
+    | [] -> (
+        let out_of_scope (flag, _, scope) =
+          match scope with
+          | Some (what, selected) when List.mem flag given && not (selected o) ->
+              Some (flag, what)
+          | _ -> None
+        in
+        match List.find_map out_of_scope flags with
+        | Some (flag, what) -> error "%s only applies to %s" flag what
+        | None -> `Ok o)
     | ("--help" | "-h") :: _ -> `Help
-    | a :: _ -> error "unknown argument %S" a
+    | a :: rest -> (
+        match List.find_opt (fun (flag, _, _) -> flag = a) flags with
+        | None -> error "unknown argument %S" a
+        | Some (flag, kind, _) -> (
+            let next rest = go (flag :: given) rest in
+            let positive what parse zero set v rest =
+              match parse v with
+              | Some x when x > zero ->
+                  set o x;
+                  next rest
+              | _ -> error "%s expects a positive %s, got %S" flag what v
+            in
+            match (kind, rest) with
+            | Switch set, _ ->
+                set o;
+                next rest
+            | _, [] -> error "%s expects an argument" flag
+            | _, v :: _ when flag_like v -> error "%s expects a value, got flag %S" flag v
+            | Path set, v :: rest ->
+                set o v;
+                next rest
+            | Count set, v :: rest -> positive "integer" int_of_string_opt 0 set v rest
+            | Amount set, v :: rest -> positive "float" float_of_string_opt 0.0 set v rest))
   in
-  go args
+  go [] args

@@ -9,18 +9,18 @@ open Weakset_store
 open Weakset_core
 open Scenarios
 
-let spawn_mutation w ~at (f : Client.t -> unit) =
-  let mclient = Client.create w.rpc w.nodes.(1) in
-  Engine.schedule w.eng ~after:at (fun () ->
-      Engine.spawn w.eng ~name:"scheduled-mutation" (fun () -> f mclient))
-
-let schedule_add w ~at =
-  spawn_mutation w ~at (fun c -> ignore (Client.dir_add c w.sref (fresh_member w)))
-
-let schedule_remove_nth w ~at n =
-  spawn_mutation w ~at (fun c ->
+(* The figures' churn: a fresh member added at t=6 and the seventh
+   member removed at t=9, each by its own client on node 1. *)
+let schedule_churn w =
+  let at t (f : Client.t -> unit) =
+    let mclient = Client.create w.rpc w.nodes.(1) in
+    Engine.schedule w.eng ~after:t (fun () ->
+        Engine.spawn w.eng ~name:"scheduled-mutation" (fun () -> f mclient))
+  in
+  at 6.0 (fun c -> ignore (Client.dir_add c w.sref (fresh_member w)));
+  at 9.0 (fun c ->
       let members = Oid.Set.elements (Directory.members (Sim_world.truth w)) in
-      match List.nth_opt members (min n (List.length members - 1)) with
+      match List.nth_opt members (min 6 (List.length members - 1)) with
       | Some victim -> ignore (Client.dir_remove c w.sref victim)
       | None -> ())
 
@@ -44,59 +44,52 @@ let check_inst run spec =
 (* F1..F6: figure conformance scenarios                               *)
 (* ------------------------------------------------------------------ *)
 
-let figures () =
+let figures ?obs () =
   Harness.section ~id:"F1-F6" ~title:"figure-by-figure conformance of the four implementations"
     ~paper:"Figures 1, 3, 4, 5, 6 (the design points themselves)";
   let open Weakset_spec.Figures in
   let rows = ref [] in
-  let row name scenario run spec alt_spec =
+  let verdict run spec = spec.Weakset_spec.Visibility.name ^ ": " ^ check_inst run spec in
+  let row ?think name scenario w sem spec alt_spec =
+    let run = run_iteration ~instrument:true ?think w sem in
     rows :=
       [
         name;
         scenario;
         string_of_int run.yields;
         outcome_cell run.outcome;
-        spec.Weakset_spec.Visibility.name ^ ": " ^ check_inst run spec;
-        (match alt_spec with
-        | Some s -> s.Weakset_spec.Visibility.name ^ ": " ^ check_inst run s
-        | None -> "");
+        verdict run spec;
+        verdict run alt_spec;
       ]
       :: !rows
   in
 
   (* F1: immutable, no failures. *)
-  let w = clique_world ~seed:101 ~size:8 () in
-  let r = run_iteration ~instrument:true w Semantics.immutable in
-  row "F1 immutable" "quiet network" r fig1 (Some fig3);
+  let w = clique_world ?obs ~seed:101 ~size:8 () in
+  row "F1 immutable" "quiet network" w Semantics.immutable fig1 fig3;
 
   (* F3: immutable, partition mid-run -> pessimistic failure. *)
-  let w = clique_world ~seed:103 ~size:8 () in
+  let w = clique_world ?obs ~seed:103 ~size:8 () in
   Engine.schedule w.eng ~after:8.0 (fun () -> partition_homes w);
-  let r = run_iteration ~instrument:true w Semantics.immutable in
-  row "F3 immutable+fail" "partition at t=8" r fig3 (Some fig1);
+  row "F3 immutable+fail" "partition at t=8" w Semantics.immutable fig3 fig1;
 
   (* F4: snapshot with concurrent add & remove. *)
-  let w = clique_world ~seed:104 ~size:8 () in
-  schedule_add w ~at:6.0;
-  schedule_remove_nth w ~at:9.0 6;
-  let r = run_iteration ~instrument:true ~think:1.0 w Semantics.snapshot in
-  row "F4 snapshot" "add@6, remove@9" r fig4 (Some fig5);
+  let w = clique_world ?obs ~seed:104 ~size:8 () in
+  schedule_churn w;
+  row ~think:1.0 "F4 snapshot" "add@6, remove@9" w Semantics.snapshot fig4 fig5;
 
   (* F5: grow-only with ghosts, concurrent add & (deferred) remove. *)
-  let w = clique_world ~seed:105 ~ghost_policy:true ~size:8 () in
-  schedule_add w ~at:6.0;
-  schedule_remove_nth w ~at:9.0 6;
-  let r = run_iteration ~instrument:true ~think:1.0 w Semantics.grow_only in
-  row "F5 grow-only" "add@6, remove@9 (ghosted)" r fig5 (Some fig4);
+  let w = clique_world ?obs ~seed:105 ~ghost_policy:true ~size:8 () in
+  schedule_churn w;
+  row ~think:1.0 "F5 grow-only" "add@6, remove@9 (ghosted)" w Semantics.grow_only fig5 fig4;
 
   (* F6: optimistic through mutation and a healed partition. *)
-  let w = clique_world ~seed:106 ~size:8 () in
-  schedule_add w ~at:6.0;
-  schedule_remove_nth w ~at:9.0 6;
+  let w = clique_world ?obs ~seed:106 ~size:8 () in
+  schedule_churn w;
   Engine.schedule w.eng ~after:12.0 (fun () -> partition_homes w);
   Engine.schedule w.eng ~after:60.0 (fun () -> Fault.heal_all w.fault);
-  let r = run_iteration ~instrument:true ~think:1.0 w Semantics.optimistic in
-  row "F6 optimistic" "mutations + partition healed@60" r fig6 (Some fig3);
+  row ~think:1.0 "F6 optimistic" "mutations + partition healed@60" w Semantics.optimistic fig6
+    fig3;
 
   Harness.table
     ~headers:[ "figure"; "scenario"; "yields"; "outcome"; "own spec"; "cross-check" ]
@@ -109,7 +102,7 @@ let figures () =
 (* E1: time-to-first-element and completion time                      *)
 (* ------------------------------------------------------------------ *)
 
-let e1_latency () =
+let e1_latency ?obs () =
   Harness.section ~id:"E1" ~title:"latency: time-to-first-element / completion vs set size"
     ~paper:"§1.1 (early partial results), §3.4 (cheap weak semantics)";
   let sizes = [ 8; 16; 32; 64; 128; 256 ] in
@@ -120,14 +113,15 @@ let e1_latency () =
           List.map
             (fun (_, sem) ->
               let w =
-                clique_world ~seed:(200 + size) ~ghost_policy:(sem = Semantics.grow_only) ~size ()
+                clique_world ?obs ~seed:(200 + size) ~ghost_policy:(sem = Semantics.grow_only)
+                  ~size ()
               in
               let r = run_iteration w sem in
               Printf.sprintf "%s/%s" (Harness.fopt r.first_at) (Harness.fopt r.total))
             named_semantics
         in
         (* Dynamic sets: same collection, 8 parallel fetchers. *)
-        let w = clique_world ~seed:(200 + size) ~size () in
+        let w = clique_world ?obs ~seed:(200 + size) ~size () in
         let first = ref None and fin = ref None in
         Engine.spawn w.eng (fun () ->
             let pf = Weakset_dynamic.Prefetch.start ~parallelism:8 w.client w.sref in
@@ -153,13 +147,13 @@ let e1_latency () =
 (* E2: writer blocking under concurrent iteration                     *)
 (* ------------------------------------------------------------------ *)
 
-let e2_locking () =
+let e2_locking ?obs () =
   Harness.section ~id:"E2" ~title:"mutator stall time while an iterator runs"
     ~paper:"§3.1 (locking cost of the immutable semantics)";
   let rows =
     List.map
       (fun (name, sem) ->
-        let w = clique_world ~seed:300 ~ghost_policy:(sem = Semantics.grow_only) ~size:24 () in
+        let w = clique_world ?obs ~seed:300 ~ghost_policy:(sem = Semantics.grow_only) ~size:24 () in
         (* Writer: five adds through the same-semantics handle (so the
            immutable handle takes the write lock), spaced 3 time units. *)
         let wclient = Client.create w.rpc w.nodes.(1) in
@@ -197,7 +191,7 @@ let e2_locking () =
 (* E3: availability under node failures                               *)
 (* ------------------------------------------------------------------ *)
 
-let e3_availability () =
+let e3_availability ?obs () =
   Harness.section ~id:"E3" ~title:"query availability vs failure rate"
     ~paper:"§3 (pessimistic fails vs optimistic blocks and finishes)";
   let trials = 8 in
@@ -212,7 +206,7 @@ let e3_availability () =
             let totals = Stats.create () in
             for trial = 1 to trials do
               let w =
-                clique_world
+                clique_world ?obs
                   ~seed:(1000 + (trial * 17) + int_of_float mttf)
                   ~ghost_policy:(sem = Semantics.grow_only) ~size:16 ()
               in
@@ -248,7 +242,7 @@ let e3_availability () =
 (* E4: consistency - what each semantics observes under mutation      *)
 (* ------------------------------------------------------------------ *)
 
-let e4_staleness () =
+let e4_staleness ?obs () =
   Harness.section ~id:"E4" ~title:"observed mutations vs semantics, mutation-rate sweep"
     ~paper:"§3.2 (lost mutations), §3.3 (sees additions), §3.4 (may yield deleted)";
   let rates = [ 0.05; 0.2 ] in
@@ -258,17 +252,13 @@ let e4_staleness () =
         List.map
           (fun (name, sem) ->
             let w =
-              clique_world
+              clique_world ?obs
                 ~seed:(2000 + int_of_float (rate *. 1000.))
                 ~ghost_policy:(sem = Semantics.grow_only) ~size:24 ()
             in
             set_mutator ~via:sem w ~add_rate:rate ~remove_rate:(rate /. 2.0) ~until:5_000.0;
             let r = run_iteration ~instrument:true ~think:1.0 ~deadline:8_000.0 w sem in
-            let st =
-              match r.inst with
-              | Some inst -> staleness_of (Instrument.computation inst)
-              | None -> { adds_during = 0; adds_yielded = 0; removes_during = 0; stale_yields = 0 }
-            in
+            let st = run_staleness r in
             let own = Semantics.window_spec_of sem in
             [
               Printf.sprintf "%.2f" rate;
@@ -372,7 +362,7 @@ let e5_dynamic_ls () =
 (* E6: grow-only termination race                                     *)
 (* ------------------------------------------------------------------ *)
 
-let e6_growth_race () =
+let e6_growth_race ?obs () =
   Harness.section ~id:"E6" ~title:"grow-only non-termination when production outpaces consumption"
     ~paper:"§3.3 ('an iterator satisfying this specification may never terminate')";
   let deadline = 2_000.0 in
@@ -381,7 +371,7 @@ let e6_growth_race () =
   let rows =
     List.map
       (fun add_interval ->
-        let w = clique_world ~seed:4000 ~ghost_policy:true ~size:10 () in
+        let w = clique_world ?obs ~seed:4000 ~ghost_policy:true ~size:10 () in
         let rng = Rng.split w.rng in
         let mclient = Client.create w.rpc w.nodes.(1) in
         Engine.spawn w.eng ~name:"producer" (fun () ->
@@ -416,7 +406,7 @@ let e6_growth_race () =
 (* E8: message cost of each semantics                                 *)
 (* ------------------------------------------------------------------ *)
 
-let e8_message_cost () =
+let e8_message_cost ?obs () =
   Harness.section ~id:"E8" ~title:"network messages per completed iteration"
     ~paper:"§3 (implementation cost of each design point; 'distributed locking', snapshots)";
   let sizes = [ 16; 64 ] in
@@ -426,12 +416,12 @@ let e8_message_cost () =
         List.map
           (fun (name, sem) ->
             let w =
-              clique_world ~seed:(9500 + size) ~ghost_policy:(sem = Semantics.grow_only) ~size ()
+              clique_world ?obs ~seed:(9500 + size) ~ghost_policy:(sem = Semantics.grow_only)
+                ~size ()
             in
-            (* [Rpc.stats] is a snapshot, not a live view: take it twice. *)
-            let before = (Weakset_net.Rpc.stats w.rpc).Weakset_net.Netstat.sent in
+            let before = sent_messages w in
             let r = run_iteration w sem in
-            let sent = (Weakset_net.Rpc.stats w.rpc).Weakset_net.Netstat.sent - before in
+            let sent = sent_messages w - before in
             [
               string_of_int size;
               name;
@@ -454,16 +444,15 @@ let e8_message_cost () =
 (* E9: lease cache — cold vs warm re-iteration                        *)
 (* ------------------------------------------------------------------ *)
 
-let e9_cache_warm ?(lease_ttl = 600.0) ?(warm_iters = 2) () =
+let e9_cache_warm ?obs ?(lease_ttl = 600.0) ?(warm_iters = 2) () =
   Harness.section ~id:"E9" ~title:"lease cache: cold vs warm re-iteration"
     ~paper:"§3 ('cached data may be stale'): Coda-style callback leases on the fetch path";
   let measure label w =
-    let rows = ref [] in
-    for pass = 1 to 1 + warm_iters do
-      let before = (Weakset_net.Rpc.stats w.rpc).Weakset_net.Netstat.sent in
+    List.init (1 + warm_iters) (fun pass ->
+      let before = sent_messages w in
       let cb = Option.map Cache.stats (Client.lease_cache w.client) in
       let r = run_iteration w Semantics.optimistic in
-      let sent = (Weakset_net.Rpc.stats w.rpc).Weakset_net.Netstat.sent - before in
+      let sent = sent_messages w - before in
       let hits, misses =
         match (cb, Option.map Cache.stats (Client.lease_cache w.client)) with
         | Some b, Some a ->
@@ -473,22 +462,18 @@ let e9_cache_warm ?(lease_ttl = 600.0) ?(warm_iters = 2) () =
                 (a.Cache.miss_obj - b.Cache.miss_obj) )
         | _ -> ("-", "-")
       in
-      rows :=
-        [
-          label;
-          (if pass = 1 then "cold" else Printf.sprintf "warm %d" (pass - 1));
-          string_of_int r.yields;
-          string_of_int sent;
-          hits;
-          misses;
-        ]
-        :: !rows
-    done;
-    List.rev !rows
+      [
+        label;
+        (if pass = 0 then "cold" else Printf.sprintf "warm %d" pass);
+        string_of_int r.yields;
+        string_of_int sent;
+        hits;
+        misses;
+      ])
   in
-  let wc = clique_world ~seed:9100 ~size:24 () in
+  let wc = clique_world ?obs ~seed:9100 ~size:24 () in
   let ww =
-    clique_world ~seed:9100 ~cache:{ Cache.capacity = 256; ttl = lease_ttl } ~lease_ttl
+    clique_world ?obs ~seed:9100 ~cache:{ Cache.capacity = 256; ttl = lease_ttl } ~lease_ttl
       ~size:24 ()
   in
   Harness.table
@@ -507,7 +492,7 @@ let e9_cache_warm ?(lease_ttl = 600.0) ?(warm_iters = 2) () =
 
 (* True when every cell carries a verdict and every verdict conforms:
    the exit status of [--e12]. *)
-let e12_five_semantics () =
+let e12_five_semantics ?obs () =
   Harness.section ~id:"E12" ~title:"all five design points head to head, quiet and churning"
     ~paper:"Figures 1-6 plus the linearizable snapshot iterator (arXiv:1705.08885)";
   let sizes = [ 16; 64 ] in
@@ -521,21 +506,16 @@ let e12_five_semantics () =
             List.map
               (fun (name, sem) ->
                 let w =
-                  clique_world ~seed:(9000 + size)
+                  clique_world ?obs ~seed:(9000 + size)
                     ~ghost_policy:(sem = Semantics.grow_only) ~size ()
                 in
                 if add_rate > 0.0 then
                   set_mutator ~via:sem w ~add_rate ~remove_rate:(add_rate /. 2.0)
                     ~until:5_000.0;
-                let before = (Weakset_net.Rpc.stats w.rpc).Weakset_net.Netstat.sent in
+                let before = sent_messages w in
                 let r = run_iteration ~instrument:true ~think:1.0 ~deadline:8_000.0 w sem in
-                let sent = (Weakset_net.Rpc.stats w.rpc).Weakset_net.Netstat.sent - before in
-                let st =
-                  match r.inst with
-                  | Some inst -> staleness_of (Instrument.computation inst)
-                  | None ->
-                      { adds_during = 0; adds_yielded = 0; removes_during = 0; stale_yields = 0 }
-                in
+                let sent = sent_messages w - before in
+                let st = run_staleness r in
                 (* Every run is judged by the one parametric checker, through
                    the spec appropriate to its workload: the exact figure on a
                    quiet fault-free world, the §3.4 window relaxation once
@@ -595,166 +575,184 @@ module Load = Weakset_load
 (* Intent-latency SLO judged over the request spans (virtual units). *)
 let e13_slo = 25.0
 
+(* An open-loop ladder: one curve of stepped offered rates, each rung a
+   fresh seeded world with an SLO tracker over the request spans and an
+   open-loop pool driving [workload]'s requests.  Latency is
+   coordinated-omission-safe: each request's span starts at its
+   *intended* arrival tick, so the latency the SLO and histograms see
+   includes any time the request spent waiting for a free client.  What
+   differs between E13's design points and E13b's admission
+   configurations is data: the rates and seeds, the world options, the
+   op mix and the count behind the table's extra column. *)
+type ladder = {
+  id : string;  (* world tags and crash messages *)
+  label : string;
+  rates : float list;
+  seed_base : int;  (* rung [i] builds its world from seed [seed_base + i] *)
+  arrival : float -> Load.Arrival.process;
+  build : Observer.t option -> tag:string -> seed:int -> world;
+  (* Set up once the world is built, before the SLO tracker attaches;
+     returns the body of each request. *)
+  workload : world -> duration:float -> client:int -> parent:int -> (unit, string) result;
+  record_error_latency : bool;
+  extra : world -> Weakset_obs.Slo.t -> int;
+}
+
+let ladder_step ?obs l ~clients ~duration rate_ix rate =
+  let seed = l.seed_base + rate_ix in
+  let w = l.build obs ~tag:(Printf.sprintf "%s %s rate=%g seed=%d" l.id l.label rate seed) ~seed in
+  let exec = l.workload w ~duration in
+  let bus = Engine.bus w.eng in
+  let objective =
+    { Weakset_obs.Slo.op = "load.request"; max_latency = e13_slo; target = 0.9; window = 50.0 }
+  in
+  let slo = Weakset_obs.Slo.create ~bus [ objective ] in
+  Weakset_obs.Bus.attach bus ~name:"load-slo" (Weakset_obs.Slo.sink slo);
+  let outcome =
+    Load.Openloop.run ~eng:w.eng ~rng:(Rng.split w.rng) ~slo ~tick_every:5.0
+      ~record_error_latency:l.record_error_latency ~exec
+      {
+        Load.Openloop.clients;
+        arrival = l.arrival rate;
+        duration;
+        drain = duration /. 2.0;
+        span_name = "load.request";
+      }
+  in
+  fail_on_crash ~what:l.id w;
+  (Load.Sweep.point_of_outcome outcome, l.extra w slo)
+
+(* The curve and each rung's extra count. *)
+let ladder_curve ?obs ?(clients = 32) ?(duration = 400.0) l =
+  let steps = List.mapi (ladder_step ?obs l ~clients ~duration) l.rates in
+  let points = List.map fst steps in
+  ( { Load.Sweep.label = l.label; points; knee = Load.Sweep.detect_knee ~slo:e13_slo points },
+    List.map snd steps )
+
+(* One row per rung: the curve's label, [cells] of the rung and its
+   extra count, and the knee column rendered by [knee] from the curve's
+   extra counts. *)
+let ladder_table ~headers ~cells ~knee curves =
+  Harness.table ~headers
+    (List.concat_map
+       (fun ((c : Load.Sweep.curve), extras) ->
+         List.mapi
+           (fun i (p, extra) ->
+             (c.Load.Sweep.label :: cells p extra)
+             @ [ (if c.Load.Sweep.knee = Some i then knee extras else "") ])
+           (List.combine c.Load.Sweep.points extras))
+       curves)
+
+let latency_cells (p : Load.Sweep.point) =
+  List.map Harness.fopt Load.Sweep.[ p.p50_intent; p.p99_intent; p.p999_intent; p.p999_send ]
+
+(* An operation's outcome as an open-loop request's. *)
+let as_unit = function Ok _ -> Ok () | Error e -> Error (Client.error_to_string e)
+
+let write_curves ~seed curves path =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Load.Sweep.curves_to_json ~seed ~slo:e13_slo curves));
+  Printf.printf "  curves written to %s\n" path
+
 (* Stepped offered rates.  Capacity of the default design point (32
    serial clients, ~20-40 virtual units per request) sits under one
    request per unit, so the ladder starts deep in the keeping-up regime
    and ends well past saturation. *)
 let e13_rates = [ 0.05; 0.1; 0.2; 0.4; 0.8; 1.6; 3.2 ]
 
-(* One design point at one offered rate: a fresh seeded world,
-   background churn, an SLO tracker over the request spans, and an
-   open-loop pool whose requests are drawn from a weighted op mix
-   (ls-everything / add / remove, the same shape [set_mutator] offers).
-   Latency is coordinated-omission-safe: each request's span starts at
-   its *intended* arrival tick, so the latency the SLO and histograms
-   see includes any time the request spent waiting for a free client. *)
-let e13_step ~tag ~seed ~sem ~arrival ~clients ~duration =
-  let w = clique_world ~tag ~seed ~ghost_policy:(sem = Semantics.grow_only) ~size:8 () in
-  let drain = duration /. 2.0 in
-  set_mutator ~via:sem w ~add_rate:0.02 ~remove_rate:0.01 ~until:(duration +. drain);
-  let slo =
-    Weakset_obs.Slo.create ~bus:(Engine.bus w.eng)
-      [
-        {
-          Weakset_obs.Slo.op = "load.request";
-          max_latency = e13_slo;
-          target = 0.9;
-          window = 50.0;
-        };
-      ]
-  in
-  Weakset_obs.Bus.attach (Engine.bus w.eng) ~name:"e13-slo" (Weakset_obs.Slo.sink slo);
-  let mix_rng = Rng.split w.rng in
-  let yield_limit = 64 in
-  let run_ls c =
-    let set = Weak_set.make ~heal_signal:(Fault.signal w.fault) c w.sref sem in
-    let iter, _ = Weak_set.elements set in
-    let rec loop n =
-      if n >= yield_limit then begin
-        Iterator.close iter;
-        Error "yield-limit"
-      end
-      else
-        match Iterator.next iter with
-        | Iterator.Yield _ -> loop (n + 1)
-        | Iterator.Done ->
-            Iterator.close iter;
-            Ok ()
-        | Iterator.Failed e ->
-            Iterator.close iter;
-            Error (Client.error_to_string e)
+(* One design point of the sweep: background churn and requests drawn
+   from a weighted op mix (ls-everything / add / remove, the same shape
+   [set_mutator] offers); the extra column counts SLO burn-rate alerts. *)
+let design_point ~seed_base ~label ~sem ~bursty =
+  let workload w ~duration =
+    set_mutator ~via:sem w ~add_rate:0.02 ~remove_rate:0.01
+      ~until:(duration +. (duration /. 2.0));
+    let mix_rng = Rng.split w.rng in
+    let yield_limit = 64 in
+    let run_ls set =
+      let iter, _ = Weak_set.elements set in
+      let rec loop n =
+        if n >= yield_limit then Error "yield-limit"
+        else
+          match Iterator.next iter with
+          | Iterator.Yield _ -> loop (n + 1)
+          | Iterator.Done -> Ok ()
+          | Iterator.Failed e -> Error (Client.error_to_string e)
+      in
+      let r = loop 0 in
+      Iterator.close iter;
+      r
     in
-    loop 0
-  in
-  let as_unit = function Ok _ -> Ok () | Error e -> Error (Client.error_to_string e) in
-  let exec ~client:_ ~parent =
-    let c = Client.with_span_parent w.client parent in
-    let u = Rng.float mix_rng 1.0 in
-    if u < 0.8 then run_ls c
-    else begin
-      let handle = Weak_set.make ~heal_signal:(Fault.signal w.fault) c w.sref sem in
-      if u < 0.93 then as_unit (Weak_set.add handle (fresh_member w))
+    fun ~client:_ ~parent ->
+      let c = Client.with_span_parent w.client parent in
+      let set = Weak_set.make ~heal_signal:(Fault.signal w.fault) c w.sref sem in
+      let u = Rng.float mix_rng 1.0 in
+      if u < 0.8 then run_ls set
+      else if u < 0.93 then as_unit (Weak_set.add set (fresh_member w))
       else
         match Oid.Set.choose_opt (Directory.members (Sim_world.truth w)) with
-        | Some victim -> as_unit (Weak_set.remove handle victim)
+        | Some victim -> as_unit (Weak_set.remove set victim)
         | None -> Ok ()
-    end
   in
-  let outcome =
-    Load.Openloop.run ~eng:w.eng ~rng:(Rng.split w.rng) ~slo ~tick_every:5.0 ~exec
-      { Load.Openloop.clients; arrival; duration; drain; span_name = "load.request" }
-  in
-  (match Engine.crashes w.eng with
-  | [] -> ()
-  | c :: _ ->
-      failwith
-        (Printf.sprintf "e13 fiber %s crashed: %s" c.Engine.crash_fiber
-           (Printexc.to_string c.Engine.crash_exn)));
-  (Load.Sweep.point_of_outcome outcome, Weakset_obs.Slo.alert_count slo)
-
-(* Sweep one design point across the stepped offered rates.  [seed_base]
-   spaces the per-step seeds so every (curve, rate) pair builds a world
-   nothing else in the suite reuses. *)
-let e13_curve ?(clients = 32) ?(duration = 400.0) ~seed_base ~label ~sem ~bursty () =
-  let steps =
-    List.mapi
-      (fun rate_ix rate ->
-        let arrival =
-          if bursty then Load.Arrival.Bursty { rate; burst_mean = 8.0 }
-          else Load.Arrival.Poisson { rate }
-        in
-        let seed = seed_base + rate_ix in
-        e13_step
-          ~tag:(Printf.sprintf "e13 %s rate=%g seed=%d" label rate seed)
-          ~seed ~sem ~arrival ~clients ~duration)
-      e13_rates
-  in
-  let points = List.map fst steps in
-  let alerts = List.fold_left (fun acc (_, a) -> acc + a) 0 steps in
-  let knee = Load.Sweep.detect_knee ~slo:e13_slo points in
-  ({ Load.Sweep.label; points; knee }, alerts)
+  {
+    id = "e13";
+    label;
+    rates = e13_rates;
+    seed_base;
+    arrival =
+      (fun rate ->
+        if bursty then Load.Arrival.Bursty { rate; burst_mean = 8.0 }
+        else Load.Arrival.Poisson { rate });
+    build =
+      (fun obs ~tag ~seed ->
+        clique_world ?obs ~tag ~seed ~ghost_policy:(sem = Semantics.grow_only) ~size:8 ());
+    workload;
+    record_error_latency = true;
+    extra = (fun _ slo -> Weakset_obs.Slo.alert_count slo);
+  }
 
 (* The design points the sweep compares: all five semantics under
    Poisson arrivals, plus the optimistic point under x8 bursts (the
-   thundering-herd shape) to show what batching does to the knee. *)
+   thundering-herd shape) to show what batching does to the knee.
+   [seed_base] spaces the per-step seeds so every (curve, rate) pair
+   builds a world nothing else in the suite reuses. *)
 let e13_design_points =
-  List.mapi (fun i (name, sem) -> (13_000 + (100 * i), name, sem, false)) named_semantics
-  @ [ (13_900, "optimistic/bursty-x8", Semantics.optimistic, true) ]
+  List.mapi
+    (fun i (label, sem) -> design_point ~seed_base:(13_000 + (100 * i)) ~label ~sem ~bursty:false)
+    named_semantics
+  @ [
+      design_point ~seed_base:13_900 ~label:"optimistic/bursty-x8" ~sem:Semantics.optimistic
+        ~bursty:true;
+    ]
 
 (* True when every design point finds its knee: the exit status of
    [--e13]. *)
-let e13_open_loop ?clients ?duration ?curves_json () =
+let e13_open_loop ?obs ?clients ?duration ?curves_json () =
   Harness.section ~id:"E13"
     ~title:"open-loop saturation: throughput-latency surfaces and the knee"
     ~paper:"\xc2\xa75 (performance discussion) under explicit overload";
-  let curves_alerts =
-    List.map
-      (fun (seed_base, label, sem, bursty) ->
-        e13_curve ?clients ?duration ~seed_base ~label ~sem ~bursty ())
-      e13_design_points
-  in
-  let fo = function None -> "-" | Some v -> Printf.sprintf "%.2f" v in
-  let rows =
-    List.concat_map
-      (fun ((c : Load.Sweep.curve), alerts) ->
-        List.mapi
-          (fun i (p : Load.Sweep.point) ->
-            [
-              c.Load.Sweep.label;
-              Printf.sprintf "%.2f" p.Load.Sweep.offered;
-              Printf.sprintf "%.2f" p.Load.Sweep.realized;
-              Printf.sprintf "%.2f" p.Load.Sweep.achieved;
-              string_of_int p.Load.Sweep.completed;
-              string_of_int p.Load.Sweep.errors;
-              string_of_int p.Load.Sweep.abandoned;
-              fo p.Load.Sweep.p50_intent;
-              fo p.Load.Sweep.p99_intent;
-              fo p.Load.Sweep.p999_intent;
-              fo p.Load.Sweep.p999_send;
-              (if c.Load.Sweep.knee = Some i then Printf.sprintf "KNEE (%d slo alerts)" alerts
-               else "");
-            ])
-          c.Load.Sweep.points)
-      curves_alerts
-  in
-  Harness.table
+  let curves = List.map (ladder_curve ?obs ?clients ?duration) e13_design_points in
+  ladder_table
     ~headers:
       [
         "design point"; "offered"; "realized"; "achieved"; "done"; "err"; "abandoned";
         "p50i"; "p99i"; "p999i"; "p999s"; "knee";
       ]
-    rows;
-  (match curves_json with
-  | None -> ()
-  | Some path ->
-      let json =
-        Load.Sweep.curves_to_json ~seed:13_000 ~slo:e13_slo
-          (List.map fst curves_alerts)
-      in
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "  curves written to %s\n" path);
+    ~cells:(fun p _ ->
+      Load.Sweep.
+        [
+          Harness.f2 p.offered;
+          Harness.f2 p.realized;
+          Harness.f2 p.achieved;
+          string_of_int p.completed;
+          string_of_int p.errors;
+          string_of_int p.abandoned;
+        ]
+      @ latency_cells p)
+    ~knee:(fun alerts ->
+      Printf.sprintf "KNEE (%d slo alerts)" (List.fold_left ( + ) 0 alerts))
+    curves;
+  Option.iter (write_curves ~seed:13_000 (List.map fst curves)) curves_json;
   Harness.note
     "latency columns are virtual units from the *intended* arrival tick (i) vs the";
   Harness.note
@@ -765,7 +763,7 @@ let e13_open_loop ?clients ?duration ?curves_json () =
     "the first step where achieved throughput diverges from offered or p99 intent";
   Harness.note
     "latency blows through 4x the SLO; render its anatomy with weakset_trace saturation.";
-  List.for_all (fun ((c : Load.Sweep.curve), _) -> c.Load.Sweep.knee <> None) curves_alerts
+  List.for_all (fun ((c : Load.Sweep.curve), _) -> c.Load.Sweep.knee <> None) curves
 
 (* ------------------------------------------------------------------ *)
 (* E13b: admission control on/off under the same saturation ladder    *)
@@ -790,81 +788,42 @@ let e13_adm_rates = [ 0.05; 0.15; 2.0; 3.2 ]
 let e13_adm_capacity = 8
 let e13_adm_dir_service = 1.0
 let e13_adm_seed_base = 13_950
-let e13_adm_classes = [ "control"; "iter"; "mutate"; "read" ]
 
-let e13_admission_step ~tag ~seed ~rate ~clients ~duration ~admission =
+(* One configuration of the comparison.  Both use the same seed at each
+   rung, so the arrival schedule and op mix are identical and capacity
+   is the only difference; the extra column counts sheds. *)
+let admission_config admission =
   let capacity = if admission then e13_adm_capacity else 1_000_000 in
-  let w =
-    clique_world ~tag ~seed ~size:8 ~dir_service:e13_adm_dir_service
-      ~admission:{ Node_server.capacity } ()
-  in
-  let slo =
-    Weakset_obs.Slo.create ~bus:(Engine.bus w.eng)
-      [
-        {
-          Weakset_obs.Slo.op = "load.request";
-          max_latency = e13_slo;
-          target = 0.9;
-          window = 50.0;
-        };
-      ]
-  in
-  Weakset_obs.Bus.attach (Engine.bus w.eng) ~name:"e13b-slo" (Weakset_obs.Slo.sink slo);
-  (* One retry-budgeted client shared by the pool: the token bucket is
-     per-client state, so a storm of sheds drains one shared budget the
-     way the model intends.  The budget is only exercised when sheds
-     happen, so carrying it on both configurations keeps the curves'
-     only difference the capacity. *)
-  let retry =
-    {
-      Client.retry_rng = Rng.split w.rng;
-      retry_burst = 16;
-      retry_refill = 2.0;
-      retry_backoff = 0.5;
-      retry_backoff_max = 2.0;
-      retry_attempts = 2;
-    }
-  in
-  let rclient =
-    Client.with_timeout
-      (Client.create ~retry w.rpc w.nodes.(Array.length w.nodes - 1))
-      1000.0
-  in
-  let mix_rng = Rng.split w.rng in
-  let exec ~client:_ ~parent =
-    let c = Client.with_span_parent rclient parent in
-    let u = Rng.float mix_rng 1.0 in
-    if u < 0.9 then
-      match Client.dir_read_direct c ~from:w.nodes.(0) ~set_id with
-      | Ok _ -> Ok ()
-      | Error e -> Error (Client.error_to_string e)
-    else
-      match Client.dir_add c w.sref (fresh_member w) with
-      | Ok () -> Ok ()
-      | Error e -> Error (Client.error_to_string e)
-  in
-  let outcome =
-    (* [record_error_latency:false]: a shed completes in near-zero time;
-       recording it would report a phantom low percentile at exactly the
-       saturated step.  Only served requests feed the surfaces. *)
-    Load.Openloop.run ~eng:w.eng ~rng:(Rng.split w.rng) ~slo ~tick_every:5.0
-      ~record_error_latency:false ~exec
+  let workload w ~duration:_ =
+    (* One retry-budgeted client shared by the pool: the token bucket is
+       per-client state, so a storm of sheds drains one shared budget the
+       way the model intends.  The budget is only exercised when sheds
+       happen, so carrying it on both configurations keeps the curves'
+       only difference the capacity. *)
+    let retry =
       {
-        Load.Openloop.clients;
-        arrival = Load.Arrival.Poisson { rate };
-        duration;
-        drain = duration /. 2.0;
-        span_name = "load.request";
+        Client.retry_rng = Rng.split w.rng;
+        retry_burst = 16;
+        retry_refill = 2.0;
+        retry_backoff = 0.5;
+        retry_backoff_max = 2.0;
+        retry_attempts = 2;
       }
+    in
+    let rclient =
+      Client.with_timeout
+        (Client.create ~retry w.rpc w.nodes.(Array.length w.nodes - 1))
+        1000.0
+    in
+    let mix_rng = Rng.split w.rng in
+    fun ~client:_ ~parent ->
+      let c = Client.with_span_parent rclient parent in
+      if Rng.float mix_rng 1.0 < 0.9 then
+        as_unit (Client.dir_read_direct c ~from:w.nodes.(0) ~set_id)
+      else as_unit (Client.dir_add c w.sref (fresh_member w))
   in
-  (match Engine.crashes w.eng with
-  | [] -> ()
-  | c :: _ ->
-      failwith
-        (Printf.sprintf "e13b fiber %s crashed: %s" c.Engine.crash_fiber
-           (Printexc.to_string c.Engine.crash_exn)));
-  let m = Engine.metrics w.eng in
-  let sheds =
+  let sheds w _ =
+    let m = Engine.metrics w.eng in
     Array.fold_left
       (fun acc node ->
         List.fold_left
@@ -873,65 +832,55 @@ let e13_admission_step ~tag ~seed ~rate ~clients ~duration ~admission =
             + Weakset_obs.Metrics.peek_counter m
                 ~labels:[ ("class", cls); ("node", Weakset_net.Nodeid.to_string node) ]
                 "srv.shed")
-          acc e13_adm_classes)
+          acc [ "control"; "iter"; "mutate"; "read" ])
       0 w.nodes
   in
-  (Load.Sweep.point_of_outcome outcome, sheds)
+  {
+    id = "e13b";
+    label = (if admission then "admission-on" else "admission-off");
+    rates = e13_adm_rates;
+    seed_base = e13_adm_seed_base;
+    arrival = (fun rate -> Load.Arrival.Poisson { rate });
+    build =
+      (fun obs ~tag ~seed ->
+        clique_world ?obs ~tag ~seed ~size:8 ~dir_service:e13_adm_dir_service
+          ~admission:{ Node_server.capacity } ());
+    workload;
+    (* A shed completes in near-zero time; recording it would report a
+       phantom low percentile at exactly the saturated step.  Only
+       served requests feed the surfaces. *)
+    record_error_latency = false;
+    extra = sheds;
+  }
 
-let e13_admission_curve ~clients ~duration ~admission =
-  let label = if admission then "admission-on" else "admission-off" in
-  let steps =
-    List.mapi
-      (fun rate_ix rate ->
-        (* The same seed for both configurations at each rung: the
-           arrival schedule and op mix are identical, capacity is the
-           only difference. *)
-        let seed = e13_adm_seed_base + rate_ix in
-        e13_admission_step
-          ~tag:(Printf.sprintf "e13b %s rate=%g seed=%d" label rate seed)
-          ~seed ~rate ~clients ~duration ~admission)
-      e13_adm_rates
-  in
-  let points = List.map fst steps in
-  let sheds = List.map snd steps in
-  let knee = Load.Sweep.detect_knee ~slo:e13_slo points in
-  ({ Load.Sweep.label; points; knee }, sheds)
-
-let e13_admission ?(clients = 32) ?(duration = 400.0) ?curves_json () =
+let e13_admission ?obs ?clients ?duration ?curves_json () =
   Harness.section ~id:"E13b"
     ~title:"overload survival: admission control and retry budgets at saturation"
     ~paper:"\xc2\xa75 (performance discussion) under explicit overload";
-  let off, off_sheds = e13_admission_curve ~clients ~duration ~admission:false in
-  let on_, on_sheds = e13_admission_curve ~clients ~duration ~admission:true in
-  let fo = function None -> "-" | Some v -> Printf.sprintf "%.2f" v in
-  let rows =
-    List.concat_map
-      (fun ((c : Load.Sweep.curve), sheds) ->
-        List.mapi
-          (fun i (p : Load.Sweep.point) ->
-            [
-              c.Load.Sweep.label;
-              Printf.sprintf "%.2f" p.Load.Sweep.offered;
-              Printf.sprintf "%.2f" p.Load.Sweep.achieved;
-              string_of_int p.Load.Sweep.completed;
-              string_of_int p.Load.Sweep.errors;
-              string_of_int (List.nth sheds i);
-              fo p.Load.Sweep.p50_intent;
-              fo p.Load.Sweep.p99_intent;
-              fo p.Load.Sweep.p999_intent;
-              fo p.Load.Sweep.p999_send;
-              (if c.Load.Sweep.knee = Some i then "KNEE" else "");
-            ])
-          c.Load.Sweep.points)
-      [ (off, off_sheds); (on_, on_sheds) ]
+  let ((off, off_sheds) as off_curve) =
+    ladder_curve ?obs ?clients ?duration (admission_config false)
   in
-  Harness.table
+  let ((on_, on_sheds) as on_curve) =
+    ladder_curve ?obs ?clients ?duration (admission_config true)
+  in
+  ladder_table
     ~headers:
       [
         "config"; "offered"; "achieved"; "served"; "err"; "shed";
         "p50i"; "p99i"; "p999i"; "p999s"; "knee";
       ]
-    rows;
+    ~cells:(fun p shed ->
+      Load.Sweep.
+        [
+          Harness.f2 p.offered;
+          Harness.f2 p.achieved;
+          string_of_int p.completed;
+          string_of_int p.errors;
+          string_of_int shed;
+        ]
+      @ latency_cells p)
+    ~knee:(fun _ -> "KNEE")
+    [ off_curve; on_curve ];
   (* The contract this experiment exists to enforce, asserted here: a
      broken contract raises, so [--e13 --admission] exits nonzero. *)
   let fail fmt = Printf.ksprintf failwith fmt in
@@ -959,20 +908,14 @@ let e13_admission ?(clients = 32) ?(duration = 400.0) ?curves_json () =
      [retry_after] waits, while the off-curve backlog is only starting
      to build — deep saturation is where shedding must pay off, and it
      must pay off on both surfaces. *)
-  let deepest = List.length e13_adm_rates - 1 in
-  let p999_at step (c : Load.Sweep.curve) what sel =
-    match List.nth_opt c.Load.Sweep.points step with
-    | Some p -> (
-        match sel p with
-        | Some v -> v
-        | None ->
-            fail "e13b: %s has no %s samples at the saturated step" c.Load.Sweep.label what)
-    | None -> fail "e13b: saturated step out of range"
+  let deepest (c : Load.Sweep.curve) what sel =
+    match Option.bind (List.nth_opt c.Load.Sweep.points (List.length e13_adm_rates - 1)) sel with
+    | Some v -> v
+    | None -> fail "e13b: %s has no %s samples at the saturated step" c.Load.Sweep.label what
   in
-  let p999i_off = p999_at deepest off "intent" (fun p -> p.Load.Sweep.p999_intent) in
-  let p999i_on = p999_at deepest on_ "intent" (fun p -> p.Load.Sweep.p999_intent) in
-  let p999s_off = p999_at deepest off "send" (fun p -> p.Load.Sweep.p999_send) in
-  let p999s_on = p999_at deepest on_ "send" (fun p -> p.Load.Sweep.p999_send) in
+  let intent p = p.Load.Sweep.p999_intent and send p = p.Load.Sweep.p999_send in
+  let p999i_off = deepest off "intent" intent and p999i_on = deepest on_ "intent" intent in
+  let p999s_off = deepest off "send" send and p999s_on = deepest on_ "send" send in
   if p999i_on >= p999i_off then
     fail "e13b: p999 intent not improved at saturation (on %.2f vs off %.2f)" p999i_on
       p999i_off;
@@ -987,16 +930,7 @@ let e13_admission ?(clients = 32) ?(duration = 400.0) ?curves_json () =
     | None -> "past ladder")
     (Printf.sprintf "step %d" knee_off)
     p999i_on p999i_off p999s_on p999s_off;
-  (match curves_json with
-  | None -> ()
-  | Some path ->
-      let json =
-        Load.Sweep.curves_to_json ~seed:e13_adm_seed_base ~slo:e13_slo [ off; on_ ]
-      in
-      let oc = open_out path in
-      output_string oc json;
-      close_out oc;
-      Printf.printf "  curves written to %s\n" path);
+  Option.iter (write_curves ~seed:e13_adm_seed_base [ off; on_ ]) curves_json;
   Harness.note
     "same seeds, same arrival schedules, same op mix: capacity is the only difference.";
   Harness.note
@@ -1011,7 +945,7 @@ let e13_admission ?(clients = 32) ?(duration = 400.0) ?curves_json () =
 (* E7: the Garcia-Molina/Wiederhold classification, observed          *)
 (* ------------------------------------------------------------------ *)
 
-let e7_gmw () =
+let e7_gmw ?obs () =
   Harness.section ~id:"E7" ~title:"query-taxonomy classification of the four semantics"
     ~paper:"§4 (Garcia-Molina & Wiederhold read-only-query taxonomy)";
   let rows =
@@ -1019,15 +953,11 @@ let e7_gmw () =
       (fun (name, sem) ->
         (* One mutating run to gather observational evidence. *)
         let w =
-          clique_world ~seed:5000 ~ghost_policy:(sem = Semantics.grow_only) ~size:12 ()
+          clique_world ?obs ~seed:5000 ~ghost_policy:(sem = Semantics.grow_only) ~size:12 ()
         in
         set_mutator ~via:sem w ~add_rate:0.15 ~remove_rate:0.05 ~until:2_000.0;
         let r = run_iteration ~instrument:true ~think:1.0 ~deadline:5_000.0 w sem in
-        let st =
-          match r.inst with
-          | Some inst -> staleness_of (Instrument.computation inst)
-          | None -> { adds_during = 0; adds_yielded = 0; removes_during = 0; stale_yields = 0 }
-        in
+        let st = run_staleness r in
         let g = Gmw.classify sem in
         [
           name;
@@ -1049,14 +979,14 @@ let e7_gmw () =
 (* A1: stale replica reads vs literal Figure 6                        *)
 (* ------------------------------------------------------------------ *)
 
-let a1_replica_staleness () =
+let a1_replica_staleness ?obs () =
   Harness.section ~id:"A1" ~title:"ablation: optimistic reads from a stale nearby replica"
     ~paper:"§3 ('cached data may be stale') and the Figure 6 vs §3.4-prose gap";
   let rows =
     List.map
       (fun interval ->
         let w =
-          clique_world ~seed:(6000 + int_of_float interval) ~replica_ixs:[ 2 ]
+          clique_world ?obs ~seed:(6000 + int_of_float interval) ~replica_ixs:[ 2 ]
             ~replica_interval:interval ~size:48 ()
         in
         (* Make the replica strictly closer to the client than the
@@ -1071,11 +1001,7 @@ let a1_replica_staleness () =
           run_iteration ~instrument:true ~think:1.0 ~deadline:30_000.0 ~start_at:warmup w
             Semantics.optimistic_stale
         in
-        let st =
-          match r.inst with
-          | Some inst -> staleness_of (Instrument.computation inst)
-          | None -> { adds_during = 0; adds_yielded = 0; removes_during = 0; stale_yields = 0 }
-        in
+        let st = run_staleness r in
         [
           Harness.f1 interval;
           string_of_int r.yields;
@@ -1102,7 +1028,7 @@ let a1_replica_staleness () =
 (* A2: ghost copies vs immediate removal for grow-only                *)
 (* ------------------------------------------------------------------ *)
 
-let a2_ghosts () =
+let a2_ghosts ?obs () =
   Harness.section ~id:"A2" ~title:"ablation: ghost copies vs immediate removal under grow-only"
     ~paper:"§3.3 ('create copies of any deleted objects ... garbage collect these ghosts')";
   let variants =
@@ -1118,7 +1044,8 @@ let a2_ghosts () =
         List.map
           (fun (vname, ghost, sem) ->
             let w =
-              clique_world ~seed:(7000 + int_of_float (remove_rate *. 100.)) ~ghost_policy:ghost
+              clique_world ?obs ~seed:(7000 + int_of_float (remove_rate *. 100.))
+                ~ghost_policy:ghost
                 ~size:24 ()
             in
             set_mutator w ~add_rate:0.05 ~remove_rate ~until:5_000.0;
@@ -1144,14 +1071,14 @@ let a2_ghosts () =
 (* A3: quorum membership reads                                        *)
 (* ------------------------------------------------------------------ *)
 
-let a3_quorum () =
+let a3_quorum ?obs () =
   Harness.section ~id:"A3" ~title:"ablation: quorum membership reads vs coordinator-only"
     ~paper:"§3.3 ('one could easily specify the iterator to use a quorum ... scheme')";
   let rows =
     List.map
       (fun crashed ->
         let w =
-          clique_world ~seed:(8000 + crashed) ~replica_ixs:[ 2; 3 ] ~replica_interval:3.0
+          clique_world ?obs ~seed:(8000 + crashed) ~replica_ixs:[ 2; 3 ] ~replica_interval:3.0
             ~size:12 ()
         in
         let coord_ok = ref "-" and quorum_ok = ref "-" in
@@ -1182,7 +1109,7 @@ let a3_quorum () =
 (* A4: strict vs per-run constraint scope                             *)
 (* ------------------------------------------------------------------ *)
 
-let a4_relaxed_constraints () =
+let a4_relaxed_constraints ?obs () =
   Harness.section ~id:"A4" ~title:"ablation: strict figures vs the §3.1/§3.3 per-run relaxations"
     ~paper:"§3.1, §3.3 ('mutations may occur between different uses of the iterator')";
   (* The scenario: the monitor attaches (handle opened), a mutation lands
@@ -1190,7 +1117,7 @@ let a4_relaxed_constraints () =
      The strict figures reject the whole computation; the per-run variants
      accept. *)
   let run sem =
-    let w = clique_world ~seed:9000 ~ghost_policy:(sem = Semantics.grow_only) ~size:8 () in
+    let w = clique_world ?obs ~seed:9000 ~ghost_policy:(sem = Semantics.grow_only) ~size:8 () in
     let set =
       Weak_set.make ~heal_signal:(Fault.signal w.fault) ~coordinator_server:w.servers.(0)
         w.client w.sref sem
@@ -1211,21 +1138,16 @@ let a4_relaxed_constraints () =
     let (_ : int) = Engine.run ~until:10_000.0 w.eng in
     Option.get !result
   in
+  let row name sem strict relaxed =
+    let inst = run sem in
+    let cell spec = Harness.verdict_cell (Instrument.check inst spec) in
+    [ name; cell strict; cell relaxed ]
+  in
   let open Weakset_spec.Figures in
   let rows =
     [
-      (let inst = run Semantics.immutable in
-       [
-         "immutable";
-         Harness.verdict_cell (Instrument.check inst fig3);
-         Harness.verdict_cell (Instrument.check inst fig3_relaxed);
-       ]);
-      (let inst = run Semantics.grow_only in
-       [
-         "grow-only";
-         Harness.verdict_cell (Instrument.check inst fig5);
-         Harness.verdict_cell (Instrument.check inst fig5_relaxed);
-       ]);
+      row "immutable" Semantics.immutable fig3 fig3_relaxed;
+      row "grow-only" Semantics.grow_only fig5 fig5_relaxed;
     ]
   in
   Harness.table ~headers:[ "semantics"; "strict figure"; "per-run relaxation" ] rows;
@@ -1235,22 +1157,22 @@ let a4_relaxed_constraints () =
     "figures (their constraint ranges over ALL states) but not the relaxed variants the";
   Harness.note "paper suggests, which only constrain states within one run of the iterator."
 
-let run_all () =
-  figures ();
-  e1_latency ();
-  e2_locking ();
-  e3_availability ();
-  e4_staleness ();
+let run_all ?obs () =
+  figures ?obs ();
+  e1_latency ?obs ();
+  e2_locking ?obs ();
+  e3_availability ?obs ();
+  e4_staleness ?obs ();
   e5_dynamic_ls ();
-  e6_growth_race ();
-  e7_gmw ();
-  e8_message_cost ();
-  e9_cache_warm ();
+  e6_growth_race ?obs ();
+  e7_gmw ?obs ();
+  e8_message_cost ?obs ();
+  e9_cache_warm ?obs ();
   (* The full suite reports these verdicts in its tables; only the
      single-experiment runs turn them into an exit status. *)
-  ignore (e12_five_semantics () : bool);
-  ignore (e13_open_loop () : bool);
-  a1_replica_staleness ();
-  a2_ghosts ();
-  a3_quorum ();
-  a4_relaxed_constraints ()
+  ignore (e12_five_semantics ?obs () : bool);
+  ignore (e13_open_loop ?obs () : bool);
+  a1_replica_staleness ?obs ();
+  a2_ghosts ?obs ();
+  a3_quorum ?obs ();
+  a4_relaxed_constraints ?obs ()

@@ -34,184 +34,6 @@ let fopt = function Some x -> f2 x | None -> "-"
 
 let pct num den = if den = 0 then "-" else Printf.sprintf "%d%%" (100 * num / den)
 
-let ratio a b = if b = 0.0 then "-" else Printf.sprintf "%.1fx" (a /. b)
-
 let verdict_cell = function
   | Weakset_spec.Figures.Conforms -> "conforms"
   | Weakset_spec.Figures.Violates vs -> Printf.sprintf "VIOLATES(%d)" (List.length vs)
-
-(* --- metrics export ------------------------------------------------- *)
-
-(* Worlds register their engine's registry under a descriptive name as
-   they are built; [export_metrics_json] dumps them all at the end of the
-   run.  Re-registering a name replaces the previous entry (experiments
-   rebuild identical worlds many times; the last run wins). *)
-let registries : (string * Weakset_obs.Metrics.t) list ref = ref []
-
-let register_metrics name m =
-  registries := List.filter (fun (n, _) -> n <> name) !registries @ [ (name, m) ]
-
-let export_metrics_json ~path =
-  let oc = open_out path in
-  output_string oc "{";
-  List.iteri
-    (fun i (name, m) ->
-      if i > 0 then output_string oc ",";
-      Printf.fprintf oc "\n  \"%s\": %s" name (Weakset_obs.Metrics.to_json m))
-    !registries;
-  output_string oc "\n}\n";
-  close_out oc;
-  note "metrics for %d worlds written to %s" (List.length !registries) path
-
-(* --- JSONL tracing -------------------------------------------------- *)
-
-(* When a trace path is set, every world built afterwards attaches this
-   writer to its engine's bus, so one file carries the full event stream
-   of the run (worlds delimited by note lines). *)
-let trace_writer : Weakset_obs.Jsonl.t option ref = ref None
-let trace_path : string option ref = ref None
-
-let set_trace_path path =
-  trace_path := Some path;
-  trace_writer := Some (Weakset_obs.Jsonl.open_file path)
-
-let attach_trace name bus =
-  match !trace_writer with
-  | None -> ()
-  | Some w ->
-      Weakset_obs.Jsonl.note w name;
-      Weakset_obs.Bus.attach bus ~name:"bench-jsonl" (Weakset_obs.Jsonl.sink w)
-
-(* --- simulated-time profiles ---------------------------------------- *)
-
-(* When a profile path is set, every world built afterwards attaches a
-   fresh profiler to its bus (one engine per world, as Profile assumes).
-   Worlds register under a descriptive name; re-registering replaces the
-   previous entry, mirroring [register_metrics]. *)
-let profile_path : string option ref = ref None
-let profiles : (string * Weakset_obs.Profile.t) list ref = ref []
-
-let set_profile_path path = profile_path := Some path
-
-let attach_profile name bus =
-  match !profile_path with
-  | None -> ()
-  | Some _ ->
-      let p = Weakset_obs.Profile.create () in
-      Weakset_obs.Bus.attach bus ~name:"bench-profile" (Weakset_obs.Profile.sink p);
-      profiles := List.filter (fun (n, _) -> n <> name) !profiles @ [ (name, p) ]
-
-let export_profiles () =
-  match !profile_path with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc "{";
-      List.iteri
-        (fun i (name, p) ->
-          if i > 0 then output_string oc ",";
-          Printf.fprintf oc "\n  \"%s\": %s" name (Weakset_obs.Profile.to_json p))
-        !profiles;
-      output_string oc "\n}\n";
-      close_out oc;
-      note "profiles for %d worlds written to %s" (List.length !profiles) path
-
-(* --- SLO tracking ---------------------------------------------------- *)
-
-(* Default objectives for the client-visible ops: with unit link latency
-   a healthy fetch/dir-read completes in ~2 time units, so 5.0 is a
-   generous latency SLO that only partition/crash scenarios breach. *)
-let slo_objectives =
-  [
-    { Weakset_obs.Slo.op = "client.fetch"; max_latency = 5.0; target = 0.9; window = 200.0 };
-    { Weakset_obs.Slo.op = "client.dir-read"; max_latency = 5.0; target = 0.9; window = 200.0 };
-  ]
-
-let slo_enabled = ref false
-let slos : (string * Weakset_obs.Slo.t) list ref = ref []
-
-let enable_slo () = slo_enabled := true
-
-let attach_slo name bus =
-  if !slo_enabled then begin
-    let s = Weakset_obs.Slo.create ~bus slo_objectives in
-    Weakset_obs.Bus.attach bus ~name:"bench-slo" (Weakset_obs.Slo.sink s);
-    slos := List.filter (fun (n, _) -> n <> name) !slos @ [ (name, s) ]
-  end
-
-let slo_report () =
-  if !slo_enabled then begin
-    Printf.printf "\n%s\nSLO report (per world)\n%s\n" hr hr;
-    List.iter
-      (fun (name, s) ->
-        Printf.printf "  == %s ==\n%s" name (Weakset_obs.Slo.report s))
-      !slos;
-    let total = List.fold_left (fun acc (_, s) -> acc + Weakset_obs.Slo.alert_count s) 0 !slos in
-    Printf.printf "  %d burn-rate alert(s) across %d world(s)\n" total (List.length !slos)
-  end
-
-(* --- black-box flight recorders -------------------------------------- *)
-
-(* When a blackbox dir is set, every world built afterwards gets an
-   always-on flight recorder on its bus; any dump it triggers (SLO
-   alerts, spec violations, node crashes) is written out at the end.
-   Worlds register under a descriptive name; re-registering replaces the
-   previous entry, mirroring [register_metrics]. *)
-let blackbox_dir : string option ref = ref None
-let flights : (string * Weakset_obs.Flight.t) list ref = ref []
-
-let set_blackbox_dir dir = blackbox_dir := Some dir
-
-let attach_flight name bus =
-  match !blackbox_dir with
-  | None -> ()
-  | Some _ ->
-      let f = Weakset_obs.Flight.create bus in
-      flights := List.filter (fun (n, _) -> n <> name) !flights @ [ (name, f) ]
-
-(* World names carry spaces and '='; keep dump file names shell-safe. *)
-let slug name =
-  String.map
-    (function ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '.') as c -> c | _ -> '_')
-    name
-
-let export_blackbox () =
-  match !blackbox_dir with
-  | None -> ()
-  | Some dir ->
-      let written = ref 0 in
-      List.iter
-        (fun (name, f) ->
-          List.iteri
-            (fun k (d : Weakset_obs.Flight.dump) ->
-              incr written;
-              let path =
-                Filename.concat dir (Printf.sprintf "blackbox-%s-%d.json" (slug name) k)
-              in
-              let oc = open_out path in
-              output_string oc d.Weakset_obs.Flight.d_json;
-              output_char oc '\n';
-              close_out oc)
-            (Weakset_obs.Flight.dumps f))
-        !flights;
-      note "%d black-box dump(s) written to %s" !written dir
-
-(* Once the writer is closed, re-read the file one world segment at a
-   time and report each world's slowest request with its critical-path
-   phase split — the per-experiment latency-attribution summary. *)
-let critpath_report path =
-  Printf.printf "\n%s\ncritical-path summary (from %s)\n%s\n" hr path hr;
-  Weakset_obs.Trace.iter_file path (fun seg ->
-      let tr = Weakset_obs.Trace.of_segment seg in
-      match Weakset_obs.Trace.critpath_summary tr with
-      | Some line -> Printf.printf "  %-32s %s\n" seg.Weakset_obs.Trace.sname line
-      | None -> Printf.printf "  %-32s (no closed request span)\n" seg.sname)
-
-let close_trace () =
-  match !trace_writer with
-  | None -> ()
-  | Some w ->
-      Weakset_obs.Jsonl.close w;
-      trace_writer := None;
-      Option.iter critpath_report !trace_path;
-      trace_path := None

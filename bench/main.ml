@@ -1,86 +1,61 @@
 (* Benchmark/experiment driver.  Running with no arguments regenerates
    every experiment table (F1..F6, E1..E13, A1..A4); see DESIGN.md
-   section 4 for the experiment index and EXPERIMENTS.md for
-   paper-vs-measured commentary.
-
-     dune exec bench/main.exe                     -- everything
-     dune exec bench/main.exe -- --metrics-json m.json
-                                                  -- also dump the metrics
-                                                     registries as JSON
-     dune exec bench/main.exe -- --trace-jsonl t.jsonl
-                                                  -- also write the full
-                                                     typed event stream
-     dune exec bench/main.exe -- --baseline b.json
-                                                  -- run only the seeded
-                                                     baseline suite
-     dune exec bench/main.exe -- --cache --warm-iters 4
-                                                  -- cache cold/warm only
+   section 4 for the experiment index, EXPERIMENTS.md for
+   paper-vs-measured commentary and [Cli.usage] for the flags.
 
    Exit status: 2 for a bad command line; 1 when an --e12 cell has no
    verdict or violates its spec, or when an --e13 design point finds no
    knee; --e13 --admission raises on a broken overload contract. *)
 
+open Bench_lib
+
+let header ?(virtual_time = true) what =
+  Printf.printf "Weak sets (Wing & Steere, ICDCS 1995) - %s\n" what;
+  if virtual_time then
+    Printf.printf "All latencies are simulated virtual time units unless noted.\n"
+
 let () =
-  match Bench_lib.Cli.parse (List.tl (Array.to_list Sys.argv)) with
+  match Cli.parse (List.tl (Array.to_list Sys.argv)) with
   | `Help ->
-      print_string Bench_lib.Cli.usage;
+      print_string Cli.usage;
       exit 0
   | `Error msg ->
-      prerr_string ("weakset_bench: " ^ msg ^ "\n\n" ^ Bench_lib.Cli.usage);
+      prerr_string ("weakset_bench: " ^ msg ^ "\n\n" ^ Cli.usage);
       exit 2
   | `Ok o ->
-      Option.iter Bench_lib.Harness.set_trace_path o.Bench_lib.Cli.trace_jsonl;
-      Option.iter Bench_lib.Harness.set_profile_path o.Bench_lib.Cli.profile_json;
-      Option.iter Bench_lib.Harness.set_blackbox_dir o.Bench_lib.Cli.blackbox_dir;
-      if o.Bench_lib.Cli.slo_report then Bench_lib.Harness.enable_slo ();
+      let obs =
+        Observer.create ?metrics_json:o.Cli.metrics_json ?trace_jsonl:o.Cli.trace_jsonl
+          ~slo_report:o.Cli.slo_report ?blackbox_dir:o.Cli.blackbox_dir ()
+      in
       let ok =
-        match o.Bench_lib.Cli.baseline with
+        match o.Cli.baseline with
         | Some path ->
-            Printf.printf "Weak sets (Wing & Steere, ICDCS 1995) - baseline suite\n";
-            let metrics = Bench_lib.Baseline.collect () in
-            Bench_lib.Baseline.write ~path metrics;
+            header ~virtual_time:false "baseline suite";
+            let metrics = Baseline.collect ~obs () in
+            Baseline.write ~path metrics;
             Printf.printf "%d tracked metrics written to %s\n" (List.length metrics) path;
             true
-        | None when o.Bench_lib.Cli.cache ->
-            Printf.printf "Weak sets (Wing & Steere, ICDCS 1995) - lease-cache experiment\n";
-            Printf.printf "All latencies are simulated virtual time units unless noted.\n";
-            Bench_lib.Experiments.e9_cache_warm
-              ?lease_ttl:o.Bench_lib.Cli.lease_ttl
-              ?warm_iters:o.Bench_lib.Cli.warm_iters ();
+        | None when o.Cli.cache ->
+            header "lease-cache experiment";
+            Experiments.e9_cache_warm ~obs ?lease_ttl:o.Cli.lease_ttl
+              ?warm_iters:o.Cli.warm_iters ();
             true
-        | None when o.Bench_lib.Cli.e12 ->
-            Printf.printf
-              "Weak sets (Wing & Steere, ICDCS 1995) - five-semantics head-to-head\n";
-            Printf.printf "All latencies are simulated virtual time units unless noted.\n";
-            Bench_lib.Experiments.e12_five_semantics ()
-        | None when o.Bench_lib.Cli.e13 && o.Bench_lib.Cli.admission ->
-            Printf.printf
-              "Weak sets (Wing & Steere, ICDCS 1995) - overload survival comparison\n";
-            Printf.printf "All latencies are simulated virtual time units unless noted.\n";
-            Bench_lib.Experiments.e13_admission
-              ?clients:o.Bench_lib.Cli.load_clients
-              ?duration:o.Bench_lib.Cli.load_duration
-              ?curves_json:o.Bench_lib.Cli.curves_json ();
+        | None when o.Cli.e12 ->
+            header "five-semantics head-to-head";
+            Experiments.e12_five_semantics ~obs ()
+        | None when o.Cli.e13 && o.Cli.admission ->
+            header "overload survival comparison";
+            Experiments.e13_admission ~obs ?clients:o.Cli.load_clients
+              ?duration:o.Cli.load_duration ?curves_json:o.Cli.curves_json ();
             true
-        | None when o.Bench_lib.Cli.e13 ->
-            Printf.printf
-              "Weak sets (Wing & Steere, ICDCS 1995) - open-loop saturation sweep\n";
-            Printf.printf "All latencies are simulated virtual time units unless noted.\n";
-            Bench_lib.Experiments.e13_open_loop
-              ?clients:o.Bench_lib.Cli.load_clients
-              ?duration:o.Bench_lib.Cli.load_duration
-              ?curves_json:o.Bench_lib.Cli.curves_json ()
+        | None when o.Cli.e13 ->
+            header "open-loop saturation sweep";
+            Experiments.e13_open_loop ~obs ?clients:o.Cli.load_clients
+              ?duration:o.Cli.load_duration ?curves_json:o.Cli.curves_json ()
         | None ->
-            Printf.printf "Weak sets (Wing & Steere, ICDCS 1995) - experiment suite\n";
-            Printf.printf "All latencies are simulated virtual time units unless noted.\n";
-            Bench_lib.Experiments.run_all ();
+            header "experiment suite";
+            Experiments.run_all ~obs ();
             true
       in
-      Option.iter
-        (fun path -> Bench_lib.Harness.export_metrics_json ~path)
-        o.Bench_lib.Cli.metrics_json;
-      Bench_lib.Harness.export_profiles ();
-      Bench_lib.Harness.export_blackbox ();
-      Bench_lib.Harness.slo_report ();
-      Bench_lib.Harness.close_trace ();
+      Observer.finish obs;
       if not ok then exit 1

@@ -27,8 +27,8 @@ let set_id = Sim_world.set_id
 
 (* [clique_world] — n nodes fully connected with unit latency.  [cache]
    equips the client with a lease cache; [lease_ttl] is what the servers
-   grant with leased membership answers. *)
-let clique_world ?tag ?(seed = 1) ?(n = 8) ?(ghost_policy = false) ?replica_ixs
+   grant with leased membership answers; [obs] observes the world. *)
+let clique_world ?obs ?tag ?(seed = 1) ?(n = 8) ?(ghost_policy = false) ?replica_ixs
     ?replica_interval ?cache ?(lease_ttl = 30.0) ?dir_service ?admission ~size () =
   let eng = Engine.create ~seed:(Int64.of_int seed) () in
   let policy =
@@ -38,19 +38,32 @@ let clique_world ?tag ?(seed = 1) ?(n = 8) ?(ghost_policy = false) ?replica_ixs
     Sim_world.create ~lease_ttl ?dir_service ?admission ~policy ?replica_ixs ?replica_interval
       ?cache ~size eng ~nodes:n ~latency:1.0 ()
   in
-  let name =
-    (* [tag] distinguishes worlds a sweep builds in a loop (one per rate
-       step) whose seed/n/size would otherwise collide in the sinks. *)
-    match tag with
-    | Some tag -> tag
-    | None -> Printf.sprintf "clique_world seed=%d n=%d size=%d" seed n size
-  in
-  Harness.register_metrics name (Engine.metrics eng);
-  Harness.attach_trace name (Engine.bus eng);
-  Harness.attach_profile name (Engine.bus eng);
-  Harness.attach_slo name (Engine.bus eng);
-  Harness.attach_flight name (Engine.bus eng);
+  Option.iter
+    (fun obs ->
+      let name =
+        (* [tag] distinguishes worlds a sweep builds in a loop (one per
+           rate step) whose seed/n/size would otherwise collide in the
+           observer's exports. *)
+        match tag with
+        | Some tag -> tag
+        | None -> Printf.sprintf "clique_world seed=%d n=%d size=%d" seed n size
+      in
+      Observer.world obs name eng)
+    obs;
   w
+
+(* A crashed fiber voids a measurement: fail it, naming the fiber. *)
+let fail_on_crash ~what w =
+  match Engine.crashes w.eng with
+  | [] -> ()
+  | c :: _ ->
+      failwith
+        (Printf.sprintf "%s fiber %s crashed: %s" what c.Engine.crash_fiber
+           (Printexc.to_string c.Engine.crash_exn))
+
+(* Messages the world's RPC fabric has sent so far.  [Rpc.stats] is a
+   snapshot, not a live view: take it before and after a run. *)
+let sent_messages w = (Rpc.stats w.rpc).Netstat.sent
 
 (* Make a fresh member object (used by mutator processes). *)
 let fresh_member = Sim_world.fresh_member
@@ -140,12 +153,7 @@ let run_iteration ?(instrument = false) ?(think = 0.0) ?(deadline = 50_000.0) ?(
       loop ();
       Iterator.close iter);
   let (_ : int) = Engine.run ~until:deadline w.eng in
-  (match Engine.crashes w.eng with
-  | [] -> ()
-  | c :: _ ->
-      failwith
-        (Printf.sprintf "scenario fiber %s crashed: %s" c.Engine.crash_fiber
-           (Printexc.to_string c.Engine.crash_exn)));
+  fail_on_crash ~what:"scenario" w;
   { yields = !yields; outcome = !outcome; first_at = !first_at; total = !total; inst = !inst_ref }
 
 (* ------------------------------------------------------------------ *)
@@ -182,6 +190,12 @@ let staleness_of comp =
         stale_yields;
       }
   | _ -> { adds_during = 0; adds_yielded = 0; removes_during = 0; stale_yields = 0 }
+
+(* Staleness of an instrumented run; all zero without instrumentation. *)
+let run_staleness r =
+  match r.inst with
+  | Some inst -> staleness_of (Instrument.computation inst)
+  | None -> { adds_during = 0; adds_yielded = 0; removes_during = 0; stale_yields = 0 }
 
 let named_semantics =
   [

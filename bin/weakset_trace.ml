@@ -159,20 +159,32 @@ let parse_args cmd args =
   go args;
   o
 
+(* The file's segments (only the [--world] one, when given), read one at
+   a time: a malformed line or unreadable file ends the run with exit 2
+   at the step that meets it. *)
 let load o file =
-  let segs = try Trace.load_file file with
-    | Trace.Malformed m -> die "weakset_trace: %s" m
-    | Sys_error m -> die "weakset_trace: %s" m
+  let rec guarded seq () =
+    match seq () with
+    | exception (Trace.Malformed m | Sys_error m) -> die "weakset_trace: %s" m
+    | Seq.Nil -> Seq.Nil
+    | Seq.Cons (seg, rest) -> Seq.Cons (seg, guarded rest)
   in
+  let segs = guarded (Trace.segments file) in
   match o.world with
   | None -> segs
-  | Some w -> (
-      match List.filter (fun s -> s.Trace.sname = w) segs with
-      | [] ->
-          die "weakset_trace: no world %S in %s (have: %s)" w file
-            (String.concat ", "
-               (List.map (fun s -> Printf.sprintf "%S" s.Trace.sname) segs))
-      | picked -> picked)
+  | Some w ->
+      (* [others] keeps the names skipped so far, for the error when no
+         segment matches. *)
+      let rec pick found others seq () =
+        match seq () with
+        | Seq.Nil when found -> Seq.Nil
+        | Seq.Nil ->
+            die "weakset_trace: no world %S in %s (have: %s)" w file
+              (String.concat ", " (List.rev_map (Printf.sprintf "%S") others))
+        | Seq.Cons (seg, rest) when seg.Trace.sname = w -> Seq.Cons (seg, pick true others rest)
+        | Seq.Cons (seg, rest) -> pick found (seg.Trace.sname :: others) rest ()
+      in
+      pick false [] segs
 
 let header seg =
   if seg.Trace.sname = "" then "" else Printf.sprintf "== world: %s ==\n" seg.Trace.sname
@@ -182,7 +194,7 @@ let one_file o = function
   | files -> usage_die "expected exactly one FILE, got %d" (List.length files)
 
 let per_segment render =
-  List.iter (fun seg ->
+  Seq.iter (fun seg ->
       print_string (header seg);
       print_string (render (Trace.of_segment seg)))
 
@@ -435,7 +447,7 @@ let render_overload buf events =
    holds a shed: the overload anatomy has nothing to explain. *)
 let cmd_saturation o files =
   let sheds = ref 0 in
-  List.iter
+  Seq.iter
     (fun seg ->
       print_string (header seg);
       let tr = Trace.of_segment seg in
@@ -541,14 +553,14 @@ let () =
       | "critpath" -> per_segment Trace.render_critpath (one_file o o.files)
       | "stats" -> per_segment Trace.render_stats (one_file o o.files)
       | "profile" ->
-          List.iter
+          Seq.iter
             (fun seg ->
               print_string (header seg);
               print_string
                 (Profile.render_top ~k:o.top (Profile.of_events seg.Trace.events)))
             (one_file o o.files)
       | "flame" ->
-          List.iter
+          Seq.iter
             (fun seg ->
               print_string (header seg);
               print_string (Profile.folded (Profile.of_events seg.Trace.events)))
@@ -556,7 +568,7 @@ let () =
       | "anomalies" ->
           let segs = one_file o o.files in
           let found = ref 0 in
-          List.iter
+          Seq.iter
             (fun seg ->
               print_string (header seg);
               let tr = Trace.of_segment seg in
@@ -567,11 +579,14 @@ let () =
       | "diff" -> (
           match o.files with
           | [ fa; fb ] ->
-              let sa = load o fa and sb = load o fb in
-              (* [pair] returns whether any difference was reported. *)
-              let rec pair i = function
-                | [], [] -> false
-                | a :: ta, b :: tb ->
+              (* One segment of each file in memory at a time; [differs]
+                 records whether any difference was reported. *)
+              let rec pair i differs sa sb =
+                let na = sa () in
+                let nb = sb () in
+                match (na, nb) with
+                | Seq.Nil, Seq.Nil -> differs
+                | Seq.Cons (a, ta), Seq.Cons (b, tb) ->
                     let renamed = a.Trace.sname <> b.Trace.sname in
                     if renamed then
                       Printf.printf "segment %d: names differ (%S vs %S)\n" i a.sname
@@ -582,16 +597,15 @@ let () =
                     let diverged =
                       match result with Trace.Identical _ -> false | Trace.Diverged _ -> true
                     in
-                    let rest = pair (i + 1) (ta, tb) in
-                    renamed || diverged || rest
-                | extra, [] ->
-                    Printf.printf "%s has %d extra world(s)\n" fa (List.length extra);
+                    pair (i + 1) (differs || renamed || diverged) ta tb
+                | Seq.Cons (_, extra), Seq.Nil ->
+                    Printf.printf "%s has %d extra world(s)\n" fa (1 + Seq.length extra);
                     true
-                | [], extra ->
-                    Printf.printf "%s has %d extra world(s)\n" fb (List.length extra);
+                | Seq.Nil, Seq.Cons (_, extra) ->
+                    Printf.printf "%s has %d extra world(s)\n" fb (1 + Seq.length extra);
                     true
               in
-              if pair 0 (sa, sb) then exit 1
+              if pair 0 false (load o fa) (load o fb) then exit 1
           | files -> usage_die "diff expects exactly two FILEs, got %d" (List.length files))
       | "blackbox" -> cmd_blackbox ~json:o.json o.files
       | "saturation" -> cmd_saturation o o.files

@@ -32,11 +32,12 @@ let with_ls_span ~client name f =
 
 let strict_ls dfs ~client dir =
   with_ls_span ~client "ls.strict" @@ fun span ->
+  let client = Client.with_span_parent client span in
   let eng = Client.engine client in
   let started_at = Engine.now eng in
   let sref = Dfs.dir_sref dfs dir in
   match
-    Client.dir_read ~parent:span client ~from:sref.Weakset_store.Protocol.coordinator
+    Client.dir_read client ~from:sref.Weakset_store.Protocol.coordinator
       ~set_id:sref.set_id
   with
   | Error e -> Error e
@@ -45,7 +46,7 @@ let strict_ls dfs ~client dir =
       let rec fetch_all acc = function
         | [] -> Ok (List.rev acc)
         | oid :: rest -> (
-            match Client.fetch ~parent:span client oid with
+            match Client.fetch client oid with
             | Ok v ->
                 fetch_all ({ name = name_for dfs oid; oid; size = Svalue.size v } :: acc) rest
             | Error e -> Error e)

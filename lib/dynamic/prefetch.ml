@@ -154,11 +154,11 @@ let rec fetcher_loop t =
                 let retries = retries_of oid in
                 if retries + 1 > t.max_retries then t.missed <- t.missed + 1
                 else t.pending <- (oid, retries + 1) :: t.pending)
-          (Client.fetch_many ~parent:t.span t.client (List.map fst items));
+          (Client.fetch_many t.client (List.map fst items));
         fetcher_loop t
 
-let read_membership ~parent client (sref : Weakset_store.Protocol.set_ref) =
-  match Client.dir_read ~parent client ~from:sref.coordinator ~set_id:sref.set_id with
+let read_membership client (sref : Weakset_store.Protocol.set_ref) =
+  match Client.dir_read client ~from:sref.coordinator ~set_id:sref.set_id with
   | Ok (_, members) -> Some members
   | Error _ ->
       let topo = Client.topology client in
@@ -166,7 +166,7 @@ let read_membership ~parent client (sref : Weakset_store.Protocol.set_ref) =
       List.find_map
         (fun r ->
           if Topology.reachable topo me r then
-            match Client.dir_read ~parent client ~from:r ~set_id:sref.set_id with
+            match Client.dir_read client ~from:r ~set_id:sref.set_id with
             | Ok (_, members) -> Some members
             | Error _ -> None
           else None)
@@ -180,6 +180,8 @@ let start ?parent ?members ?(parallelism = 4) ?(order = `Closest_first) ?(max_re
   let me = Weakset_net.Nodeid.to_int (Client.node client) in
   Weakset_obs.Bus.emit bus ~time:(Engine.now engine)
     (Weakset_obs.Event.Span_start { span; parent; name = "prefetch"; node = Some me });
+  (* Every read and fetch of this prefetch runs under its span. *)
+  let client = Client.with_span_parent client span in
   let t =
     {
       client;
@@ -212,7 +214,7 @@ let start ?parent ?members ?(parallelism = 4) ?(order = `Closest_first) ?(max_re
       match
         match members with
         | Some m -> Some m
-        | None -> read_membership ~parent:span client sref
+        | None -> read_membership client sref
       with
       | None ->
           t.open_failed <- true;

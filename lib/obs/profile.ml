@@ -265,56 +265,6 @@ let folded t =
     lines;
   Buffer.contents buf
 
-(* --- deterministic JSON --------------------------------------------- *)
-
-let jfloat f = Printf.sprintf "%.17g" f
-
-let to_json t =
-  finish t;
-  let start, stop = span t in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       {|{"schema":"weakset-profile-v1","start":%s,"stop":%s,"events":%d,"fibers":[|}
-       (jfloat start) (jfloat stop) t.events);
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           {|{"fid":%d,"name":%s,"spawned":%s,"ended":%s,"crashed":%b,"slices":%d,"sleep":%s,"blocked":%s,"rpc":%s,"runnable":%s}|}
-           f.i_fid
-           ("\"" ^ Event.json_escape f.i_name ^ "\"")
-           (jfloat f.i_spawned)
-           (match f.i_ended with None -> "null" | Some e -> jfloat e)
-           f.i_crashed f.i_slices (jfloat f.i_sleep) (jfloat f.i_blocked)
-           (jfloat f.i_rpc) (jfloat f.i_runnable)))
-    (fiber_infos t);
-  Buffer.add_string buf {|],"ops":[|};
-  List.iteri
-    (fun i o ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf {|{"op":%s,"calls":%d,"total":%s,"max":%s}|}
-           ("\"" ^ Event.json_escape o.o_name ^ "\"")
-           o.o_calls (jfloat o.o_total) (jfloat o.o_max)))
-    (op_infos t);
-  Buffer.add_string buf {|],"folded":[|};
-  let folds =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.folds []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
-  in
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf {|{"stack":%s,"value":%s}|}
-           ("\"" ^ Event.json_escape k ^ "\"")
-           (jfloat v)))
-    folds;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
-
 (* --- top-k tables ---------------------------------------------------- *)
 
 (* Fibers aggregate by display name (all rpc-handler-* instances of one

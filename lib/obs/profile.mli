@@ -74,10 +74,6 @@ val op_infos : t -> op_info list
     the leaf is the wait category and value is attributed virtual time. *)
 val folded : t -> string
 
-(** Deterministic JSON ([%.17g] floats, sorted arrays): byte-identical
-    across same-seed runs. *)
-val to_json : t -> string
-
 (** Human-readable top-[k] hot-fiber (aggregated by name) and hot-op
     tables. *)
 val render_top : ?k:int -> t -> string

@@ -13,45 +13,51 @@ exception Malformed of string
 let malformed fmt = Printf.ksprintf (fun s -> raise (Malformed s)) fmt
 
 (* A trace file is a sequence of event lines, optionally partitioned by
-   {"note":"..."} lines (one per world in a bench run). *)
-let iter_file path f =
+   {"note":"..."} lines (one per world in a bench run).  Each traversal
+   opens the file afresh and parses one segment per step, so a reader
+   holds one segment at a time; the channel closes at the end of the
+   file or on the first malformed line. *)
+let segments path () =
   let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let cur_name = ref None in
-      let cur_events = ref [] in
-      let flush () =
-        if !cur_name <> None || !cur_events <> [] then
-          f { sname = Option.value !cur_name ~default:""; events = List.rev !cur_events };
-        cur_name := None;
-        cur_events := []
-      in
-      let lineno = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           incr lineno;
-           if String.trim line <> "" then
-             match Json.of_string_opt line with
-             | None -> malformed "%s:%d: not JSON" path !lineno
-             | Some j -> (
-                 match Option.bind (Json.member "note" j) Json.to_string with
-                 | Some note ->
-                     flush ();
-                     cur_name := Some note
-                 | None -> (
-                     match Event.of_json j with
-                     | Ok e -> cur_events := e :: !cur_events
-                     | Error msg -> malformed "%s:%d: %s" path !lineno msg))
-         done
-       with End_of_file -> ());
-      flush ())
-
-let load_file path =
-  let acc = ref [] in
-  iter_file path (fun seg -> acc := seg :: !acc);
-  List.rev !acc
+  let lineno = ref 0 in
+  (* The next note name, event, or [None] at the end of the file. *)
+  let rec next_item () =
+    match input_line ic with
+    | exception End_of_file -> None
+    | line -> (
+        incr lineno;
+        if String.trim line = "" then next_item ()
+        else
+          match Json.of_string_opt line with
+          | None -> malformed "%s:%d: not JSON" path !lineno
+          | Some j -> (
+              match Option.bind (Json.member "note" j) Json.to_string with
+              | Some note -> Some (Either.Left note)
+              | None -> (
+                  match Event.of_json j with
+                  | Ok e -> Some (Either.Right e)
+                  | Error msg -> malformed "%s:%d: %s" path !lineno msg)))
+  in
+  let item () =
+    try next_item ()
+    with exn ->
+      close_in_noerr ic;
+      raise exn
+  in
+  let rec segment name events () =
+    let emit rest =
+      if name <> None || events <> [] then
+        Seq.Cons ({ sname = Option.value name ~default:""; events = List.rev events }, rest)
+      else rest ()
+    in
+    match item () with
+    | Some (Either.Right e) -> segment name (e :: events) ()
+    | Some (Either.Left note) -> emit (segment (Some note) [])
+    | None ->
+        close_in ic;
+        emit Seq.empty
+  in
+  segment None [] ()
 
 (* --- reconstruction -------------------------------------------------- *)
 

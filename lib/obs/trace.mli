@@ -19,10 +19,11 @@ exception Malformed of string
 (** Raised (with file:line context) on a line that is neither a valid
     event nor a note. *)
 
-val load_file : string -> segment list
-
-val iter_file : string -> (segment -> unit) -> unit
-(** Streaming variant: one segment in memory at a time. *)
+val segments : string -> segment Seq.t
+(** The file's segments in order, parsed one per step: a reader holds
+    one segment in memory at a time.  Each traversal reopens the file;
+    [Sys_error] and {!Malformed} are raised by the step that meets
+    them. *)
 
 (** {1 Reconstruction} *)
 

@@ -46,7 +46,7 @@ type t = {
   rpc : rpc;
   node : Nodeid.t;
   timeout : float;
-  parent0 : int option; (* default enclosing span when a call passes none *)
+  parent : int option; (* enclosing span of every operation *)
   lease : Cache.t option; (* coherent lease cache (None: every read is remote) *)
   retry : retry_state option;
 }
@@ -75,7 +75,7 @@ let create ?(timeout = 30.0) ?cache ?retry rpc node =
         { rc; tokens = ref (float_of_int rc.retry_burst); last = ref 0.0 })
       retry
   in
-  { rpc; node; timeout; parent0 = None; lease; retry }
+  { rpc; node; timeout; parent = None; lease; retry }
 
 let lease_cache t = t.lease
 
@@ -84,7 +84,7 @@ let rpc t = t.rpc
 let engine t = Rpc.engine t.rpc
 let topology t = Rpc.topology t.rpc
 let with_timeout t timeout = { t with timeout }
-let with_span_parent t span = { t with parent0 = Some span }
+let with_span_parent t span = { t with parent = Some span }
 
 let of_rpc_error = function Rpc.Timeout -> Timeout | Rpc.Unreachable -> Unreachable
 
@@ -119,8 +119,9 @@ let retry_tokens t =
            (float_of_int rs.rc.retry_burst)
            (!(rs.tokens) +. ((now -. !(rs.last)) *. rs.rc.retry_refill)))
 
-(* Every network operation runs inside its own [client.*] span; [parent]
-   (an enclosing request span, e.g. an ls) parents that span, and the
+(* Every network operation runs inside its own [client.*] span; the
+   client's [parent] (an enclosing request span, e.g. an ls, set by
+   [with_span_parent]) parents that span, and the
    span in turn parents the RPC — so one user request reconstructs as one
    tree reaching through the wire into the server.
 
@@ -131,8 +132,7 @@ let retry_tokens t =
    [Budget_exhausted] when the bucket runs dry or [Overloaded] when the
    per-call attempts are spent; without a budget it surfaces
    [Overloaded] at once. *)
-let call ?parent t dst req =
-  let parent = match parent with Some _ -> parent | None -> t.parent0 in
+let call t dst req =
   let eng = Rpc.engine t.rpc in
   let bus = Rpc.bus t.rpc in
   let label = Protocol.request_label req in
@@ -144,7 +144,7 @@ let call ?parent t dst req =
   let t0 = Weakset_sim.Engine.now eng in
   Weakset_obs.Bus.with_span_id bus
     ~time:(fun () -> Weakset_sim.Engine.now eng)
-    ~node:(Nodeid.to_int t.node) ?parent ("client." ^ label)
+    ~node:(Nodeid.to_int t.node) ?parent:t.parent ("client." ^ label)
     (fun span ->
       let count_retry outcome =
         Weakset_obs.Metrics.inc
@@ -207,8 +207,8 @@ let call ?parent t dst req =
 let remember t oid v =
   Option.iter (fun c -> Cache.store_obj c oid v ~lease:(Cache.config c).Cache.ttl) t.lease
 
-let remote_fetch ?parent t oid =
-  match call ?parent t (Oid.home oid) (Protocol.Fetch oid) with
+let remote_fetch t oid =
+  match call t (Oid.home oid) (Protocol.Fetch oid) with
   | Ok (Protocol.Value v) ->
       remember t oid v;
       Ok v
@@ -219,21 +219,20 @@ let remote_fetch ?parent t oid =
 (* A zero-duration span marking a locally served (cache-hit) operation.
    Gives the critical-path analyzer a named phase to attribute hit time
    to, against the RPC-bound span of the corresponding miss path. *)
-let cached_span ?parent t name v =
-  let parent = match parent with Some _ -> parent | None -> t.parent0 in
+let cached_span t name v =
   let eng = Rpc.engine t.rpc in
   Weakset_obs.Bus.with_span_id (Rpc.bus t.rpc)
     ~time:(fun () -> Weakset_sim.Engine.now eng)
-    ~node:(Nodeid.to_int t.node) ?parent name
+    ~node:(Nodeid.to_int t.node) ?parent:t.parent name
     (fun _ -> v)
 
-let fetch ?parent t oid =
+let fetch t oid =
   match t.lease with
-  | None -> remote_fetch ?parent t oid
+  | None -> remote_fetch t oid
   | Some c -> (
       match Cache.find_obj c oid with
-      | Some v -> cached_span ?parent t "client.fetch.cached" (Ok v)
-      | None -> remote_fetch ?parent t oid)
+      | Some v -> cached_span t "client.fetch.cached" (Ok v)
+      | None -> remote_fetch t oid)
 
 let peek t oid =
   match t.lease with None -> None | Some c -> Cache.find_obj ~count_miss:false c oid
@@ -241,7 +240,7 @@ let peek t oid =
 (* Coalesced fetch: answer what the lease cache holds, then one
    Fetch_batch round trip per distinct home node for the rest.  Results
    come back in input order. *)
-let fetch_many ?parent t oids =
+let fetch_many t oids =
   let hits, misses =
     List.partition_map
       (fun oid ->
@@ -272,7 +271,7 @@ let fetch_many ?parent t oids =
           Hashtbl.remove by_home home;
           let batch = List.rev batch in
           let outcome : (Oid.t * (Svalue.t, error) result) list =
-            match call ?parent t (Oid.home oid) (Protocol.Fetch_batch { oids = batch }) with
+            match call t (Oid.home oid) (Protocol.Fetch_batch { oids = batch }) with
             | Ok (Protocol.Batch { found; missing }) ->
                 List.iter (fun (o, v) -> remember t o v) found;
                 List.map (fun (o, v) -> (o, Ok v)) found
@@ -290,12 +289,12 @@ let fetch_many ?parent t oids =
       | None -> (oid, Error No_service))
     oids
 
-let remote_dir_read ?parent ~leased t ~from ~set_id =
+let remote_dir_read ~leased t ~from ~set_id =
   let req =
     if leased then Protocol.Dir_read_leased { set_id; lessee = t.node }
     else Protocol.Dir_read { set_id }
   in
-  match call ?parent t from req with
+  match call t from req with
   | Ok (Protocol.Members { version; members }) -> Ok (version, members)
   | Ok (Protocol.Members_leased { version; members; lease }) ->
       Option.iter (fun c -> Cache.store_dir c ~set_id ~version ~members ~lease) t.lease;
@@ -308,28 +307,28 @@ let remote_dir_read ?parent ~leased t ~from ~set_id =
    iterator pins its snapshot on.  A lease-cached view would do for
    freshness but not for pinning — the pinned version must be one the
    coordinator can replay with [Dir_read_at]. *)
-let dir_read_direct ?parent t ~from ~set_id = remote_dir_read ?parent ~leased:false t ~from ~set_id
+let dir_read_direct t ~from ~set_id = remote_dir_read ~leased:false t ~from ~set_id
 
 (* Snapshot-at-version read; never consults nor populates the lease
    cache (the reply is a historical view, not the current one). *)
-let dir_read_at ?parent t ~from ~set_id ~version =
-  match call ?parent t from (Protocol.Dir_read_at { set_id; version }) with
+let dir_read_at t ~from ~set_id ~version =
+  match call t from (Protocol.Dir_read_at { set_id; version }) with
   | Ok (Protocol.Members { version = v; members }) -> Ok (v, members)
   | Ok Protocol.No_service -> Error No_service
   | Ok _ -> Error No_service
   | Error e -> Error e
 
-let dir_read ?parent t ~from ~set_id =
+let dir_read t ~from ~set_id =
   match t.lease with
-  | None -> remote_dir_read ?parent ~leased:false t ~from ~set_id
+  | None -> remote_dir_read ~leased:false t ~from ~set_id
   | Some c -> (
       (* The cached view stands in for the read wherever it was hosted:
          it is at least as fresh as any replica and, under its lease, a
          faithful stand-in for the coordinator. *)
       match Cache.find_dir c ~set_id with
       | Some (version, members) ->
-          cached_span ?parent t "client.dir-read.cached" (Ok (version, members))
-      | None -> remote_dir_read ?parent ~leased:true t ~from ~set_id)
+          cached_span t "client.dir-read.cached" (Ok (version, members))
+      | None -> remote_dir_read ~leased:true t ~from ~set_id)
 
 (* Leader-following call: directory mutations, locks and iterator
    registration must land on the set's current write authority, which
@@ -340,16 +339,16 @@ let dir_read ?parent t ~from ~set_id =
    the caller sees the {e first} transport error — so a single-home set
    ([replicas = []]) behaves exactly as before, one call to the
    coordinator, [Unreachable] when it is down. *)
-let coord_call ?parent t (sref : Protocol.set_ref) req =
+let coord_call t (sref : Protocol.set_ref) req =
   match sref.replicas with
-  | [] -> call ?parent t sref.coordinator req
+  | [] -> call t sref.coordinator req
   | replicas ->
       let budget = ref (2 * (1 + List.length replicas)) in
       let first_err = ref None in
       let finish last = match !first_err with Some e -> Error e | None -> Ok last in
       let rec attempt dst pending =
         decr budget;
-        match call ?parent t dst req with
+        match call t dst req with
         | Ok (Protocol.Not_leader { leader; _ } as resp) ->
             if !budget <= 0 then finish resp
             else
@@ -391,33 +390,33 @@ let ack_result = function
    writes); the server-pushed callback covers every other holder. *)
 let self_inval t set_id = Option.iter (fun c -> Cache.self_inval c ~set_id) t.lease
 
-let dir_add ?parent t (sref : Protocol.set_ref) oid =
-  let r = ack_result (coord_call ?parent t sref (Protocol.Dir_add { set_id = sref.set_id; oid })) in
+let dir_add t (sref : Protocol.set_ref) oid =
+  let r = ack_result (coord_call t sref (Protocol.Dir_add { set_id = sref.set_id; oid })) in
   if r = Ok () then self_inval t sref.set_id;
   r
 
-let dir_remove ?parent t (sref : Protocol.set_ref) oid =
+let dir_remove t (sref : Protocol.set_ref) oid =
   let r =
-    ack_result (coord_call ?parent t sref (Protocol.Dir_remove { set_id = sref.set_id; oid }))
+    ack_result (coord_call t sref (Protocol.Dir_remove { set_id = sref.set_id; oid }))
   in
   if r = Ok () then self_inval t sref.set_id;
   r
 
-let dir_size ?parent t (sref : Protocol.set_ref) =
-  match coord_call ?parent t sref (Protocol.Dir_size { set_id = sref.set_id }) with
+let dir_size t (sref : Protocol.set_ref) =
+  match coord_call t sref (Protocol.Dir_size { set_id = sref.set_id }) with
   | Ok (Protocol.Size n) -> Ok n
   | Ok Protocol.No_service -> Error No_service
   | Ok _ -> Error No_service
   | Error e -> Error e
 
-let lock_acquire ?parent t (sref : Protocol.set_ref) kind =
+let lock_acquire t (sref : Protocol.set_ref) kind =
   let owner = Weakset_sim.Engine.fresh_token (engine t) in
   (* The server stops waiting slightly before our own RPC timeout, so
      its denial reaches us rather than racing the timer — and a grant is
      never issued to a caller that has already given up. *)
   let patience = t.timeout *. 0.9 in
   match
-    coord_call ?parent t sref
+    coord_call t sref
       (Protocol.Lock_acquire { set_id = sref.set_id; kind; owner; patience })
   with
   | Ok Protocol.Locked -> Ok owner
@@ -426,14 +425,14 @@ let lock_acquire ?parent t (sref : Protocol.set_ref) kind =
   | Ok _ -> Error No_service
   | Error e -> Error e
 
-let lock_release ?parent t (sref : Protocol.set_ref) ~owner =
-  ack_result (coord_call ?parent t sref (Protocol.Lock_release { set_id = sref.set_id; owner }))
+let lock_release t (sref : Protocol.set_ref) ~owner =
+  ack_result (coord_call t sref (Protocol.Lock_release { set_id = sref.set_id; owner }))
 
-let iter_open ?parent t (sref : Protocol.set_ref) =
-  ack_result (coord_call ?parent t sref (Protocol.Iter_open { set_id = sref.set_id }))
+let iter_open t (sref : Protocol.set_ref) =
+  ack_result (coord_call t sref (Protocol.Iter_open { set_id = sref.set_id }))
 
-let iter_close ?parent t (sref : Protocol.set_ref) =
-  ack_result (coord_call ?parent t sref (Protocol.Iter_close { set_id = sref.set_id }))
+let iter_close t (sref : Protocol.set_ref) =
+  ack_result (coord_call t sref (Protocol.Iter_close { set_id = sref.set_id }))
 
 let reachable_oids t oids =
   let topo = topology t in

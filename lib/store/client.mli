@@ -79,32 +79,29 @@ val topology : t -> Weakset_net.Topology.t
 val with_timeout : t -> float -> t
 
 (** [with_span_parent t span] is a copy of the client whose operations
-    default to [span] as their enclosing span when no explicit [?parent]
-    is passed.  This is how per-request trace trees form through code
+    run under [span] as their enclosing span: each operation runs in its
+    own [client.*] span, parented under [span], and that span in turn
+    parents the RPC — so a whole request reconstructs as one trace tree.
+    This is the one way to parent a client span, also through code
     (e.g. {!Weak_set} iteration) that does not thread span ids itself:
     an open-loop load harness hands each request a client scoped to the
-    request's span, and every [client.*] span (and RPC under it) lands
-    in that request's tree.  The copy shares all mutable state (lease
-    cache, retry budget) with [t]. *)
+    request's span, and an ls scopes its client to the ls span.  The
+    copy shares all mutable state (lease cache, retry budget) with
+    [t]. *)
 val with_span_parent : t -> int -> t
 
 (** {1 Objects} *)
 
 (** [fetch t oid] retrieves the contents — from the lease cache when it
     holds them, otherwise from the home node; successful fetches fill
-    the lease cache when there is one.  [parent] (here and on
-    every other operation) is an enclosing span id: each operation runs
-    in its own [client.*] span, parented under it, and the span in turn
-    parents the RPC — so a whole request reconstructs as one trace
-    tree. *)
-val fetch : ?parent:int -> t -> Oid.t -> (Svalue.t, error) result
+    the lease cache when there is one. *)
+val fetch : t -> Oid.t -> (Svalue.t, error) result
 
 (** [fetch_many t oids] coalesces fetches: lease-cache hits are answered
     with zero RPCs, and the misses go out as one [Fetch_batch] round
     trip per distinct home node.  Results are returned in input order,
     each with its own outcome. *)
-val fetch_many :
-  ?parent:int -> t -> Oid.t list -> (Oid.t * (Svalue.t, error) result) list
+val fetch_many : t -> Oid.t list -> (Oid.t * (Svalue.t, error) result) list
 
 (** Lease-cache-only probe: the cached value if present and inside its
     lease (bumping its LRU position), with no network and no recorded
@@ -120,7 +117,6 @@ val peek : t -> Oid.t -> Svalue.t option
     grant a lease (and promise an [Inval] callback), replicas answer
     unleased so stale replica views are never cached. *)
 val dir_read :
-  ?parent:int ->
   t ->
   from:Weakset_net.Nodeid.t ->
   set_id:int ->
@@ -131,7 +127,6 @@ val dir_read :
     linearizable iterator pins its snapshot on the version this
     returns. *)
 val dir_read_direct :
-  ?parent:int ->
   t ->
   from:Weakset_net.Nodeid.t ->
   set_id:int ->
@@ -143,27 +138,26 @@ val dir_read_direct :
     beyond the directory's head is answered with the head's membership
     and version.  Never cached; replicas answer [No_service]. *)
 val dir_read_at :
-  ?parent:int ->
   t ->
   from:Weakset_net.Nodeid.t ->
   set_id:int ->
   version:Version.t ->
   (Version.t * Oid.t list, error) result
 
-val dir_add : ?parent:int -> t -> Protocol.set_ref -> Oid.t -> (unit, error) result
-val dir_remove : ?parent:int -> t -> Protocol.set_ref -> Oid.t -> (unit, error) result
-val dir_size : ?parent:int -> t -> Protocol.set_ref -> (int, error) result
+val dir_add : t -> Protocol.set_ref -> Oid.t -> (unit, error) result
+val dir_remove : t -> Protocol.set_ref -> Oid.t -> (unit, error) result
+val dir_size : t -> Protocol.set_ref -> (int, error) result
 
 (** {1 Locks and iterator registration (on the coordinator)} *)
 
 (** [lock_acquire t sref kind] blocks until granted; returns the owner
     token to pass to {!lock_release}, drawn from the engine's
     {!Weakset_sim.Engine.fresh_token}, so distinct within the run. *)
-val lock_acquire : ?parent:int -> t -> Protocol.set_ref -> Lockmgr.kind -> (int, error) result
+val lock_acquire : t -> Protocol.set_ref -> Lockmgr.kind -> (int, error) result
 
-val lock_release : ?parent:int -> t -> Protocol.set_ref -> owner:int -> (unit, error) result
-val iter_open : ?parent:int -> t -> Protocol.set_ref -> (unit, error) result
-val iter_close : ?parent:int -> t -> Protocol.set_ref -> (unit, error) result
+val lock_release : t -> Protocol.set_ref -> owner:int -> (unit, error) result
+val iter_open : t -> Protocol.set_ref -> (unit, error) result
+val iter_close : t -> Protocol.set_ref -> (unit, error) result
 
 (** {1 Reachability helpers} *)
 

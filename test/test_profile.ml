@@ -1,8 +1,9 @@
 (* Acceptance tests for the online-observability layer (profiler, SLO
    burn-rate tracker, online spec monitor, bench baseline file):
 
-   - same-seed runs produce byte-identical profile JSON and folded
-     stacks (the profile determinism contract behind --profile-json);
+   - same-seed runs produce byte-identical folded stacks and top
+     tables, and another seed changes both (the determinism contract
+     behind weakset_trace profile/flame);
    - per-fiber attributed wait time sums to the fiber's lifetime under
      the profiler's accounting rules (sleep + blocked + rpc + runnable
      = end - spawn);
@@ -56,14 +57,17 @@ let profiled_run seed =
   Obs.Profile.finish profile;
   profile
 
-let test_profile_json_deterministic () =
+let test_profile_views_deterministic () =
   let p1 = profiled_run 42 and p2 = profiled_run 42 in
   check_bool "profile is non-trivial" true (Obs.Profile.events p1 > 50);
-  check_string "byte-identical JSON" (Obs.Profile.to_json p1) (Obs.Profile.to_json p2);
   check_string "byte-identical folded stacks" (Obs.Profile.folded p1) (Obs.Profile.folded p2);
+  check_string "byte-identical top tables" (Obs.Profile.render_top p1)
+    (Obs.Profile.render_top p2);
   let p3 = profiled_run 43 in
-  check_bool "different seed, different JSON" true
-    (Obs.Profile.to_json p1 <> Obs.Profile.to_json p3)
+  check_bool "different seed, different folded stacks" true
+    (Obs.Profile.folded p1 <> Obs.Profile.folded p3);
+  check_bool "different seed, different top tables" true
+    (Obs.Profile.render_top p1 <> Obs.Profile.render_top p3)
 
 let test_profile_accounting_invariant () =
   let p = profiled_run 42 in
@@ -296,8 +300,8 @@ let () =
     [
       ( "profile",
         [
-          Alcotest.test_case "same seed, byte-identical JSON" `Quick
-            test_profile_json_deterministic;
+          Alcotest.test_case "same seed, byte-identical views" `Quick
+            test_profile_views_deterministic;
           Alcotest.test_case "waits sum to fiber lifetime" `Quick
             test_profile_accounting_invariant;
         ] );

@@ -122,6 +122,40 @@ let test_staleness_empty_computation () =
   check_int "no adds" 0 st.Scenarios.adds_during;
   check_int "no stale" 0 st.Scenarios.stale_yields
 
+(* Observing a world must not change what it simulates: the same seeded
+   run (churn and crash/repair faults) with every observer output on
+   (trace file, metrics, SLO report, flight recorder) and with none
+   gives the same yields, first yield, completion time and message
+   count. *)
+let test_observing_changes_nothing () =
+  let run obs =
+    let w = Scenarios.clique_world ?obs ~seed:21 ~size:12 () in
+    Scenarios.set_mutator w ~add_rate:0.2 ~remove_rate:0.1 ~until:1_000.0;
+    Scenarios.home_fault_processes w ~mttf:150.0 ~mttr:20.0 ~until:1_000.0;
+    let r = Scenarios.run_iteration ~think:1.0 ~deadline:5_000.0 w Semantics.optimistic in
+    let opt = function None -> "-" | Some x -> Printf.sprintf "%h" x in
+    Printf.sprintf "yields=%d first=%s total=%s msgs=%d" r.Scenarios.yields
+      (opt r.Scenarios.first_at) (opt r.Scenarios.total)
+      (Weakset_net.Rpc.stats w.Scenarios.rpc).Weakset_net.Netstat.sent
+  in
+  let dir = Filename.temp_dir "observer" "" in
+  let file name = Filename.concat dir name in
+  let obs =
+    Observer.create ~metrics_json:(file "m.json") ~trace_jsonl:(file "t.jsonl")
+      ~slo_report:true ~blackbox_dir:dir ()
+  in
+  let observed = run (Some obs) in
+  Observer.finish obs;
+  Alcotest.(check string) "same run with and without every output" (run None) observed;
+  (match List.of_seq (Weakset_obs.Trace.segments (file "t.jsonl")) with
+  | [ seg ] ->
+      Alcotest.(check string) "the trace names the world" "clique_world seed=21 n=8 size=12"
+        seg.Weakset_obs.Trace.sname;
+      check_bool "the trace holds the run" true (List.length seg.Weakset_obs.Trace.events > 100)
+  | segs -> Alcotest.failf "expected one trace segment, got %d" (List.length segs));
+  Array.iter (fun f -> Sys.remove (file f)) (Sys.readdir dir);
+  Sys.rmdir dir
+
 (* The seeded baseline suite is deterministic, so a fresh run must
    reproduce the committed BENCH_baseline.json metric for metric: the
    fingerprint of the worlds [clique_world] builds for it. *)
@@ -146,6 +180,8 @@ let () =
           Alcotest.test_case "staleness metrics" `Quick test_staleness_metrics;
           Alcotest.test_case "staleness on empty computation" `Quick
             test_staleness_empty_computation;
+          Alcotest.test_case "observing changes nothing" `Quick
+            test_observing_changes_nothing;
           Alcotest.test_case "baseline reproduces BENCH_baseline.json" `Quick
             test_baseline_reproduces_committed;
         ] );

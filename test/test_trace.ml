@@ -220,7 +220,7 @@ let test_jsonl_file_roundtrip () =
   Obs.Jsonl.note jw "world-7";
   List.iter (Obs.Jsonl.write jw) events;
   Obs.Jsonl.close jw;
-  let segs = Trace.load_file path in
+  let segs = List.of_seq (Trace.segments path) in
   Sys.remove path;
   match segs with
   | [ seg ] ->
@@ -279,7 +279,9 @@ let test_diff_detects_divergence () =
     ]
 
 (* The diff command's exit status: 0 for identical traces, 1 when they
-   differ by an event, by an extra world or by a world's name. *)
+   differ by an event, by an extra world or by a world's name.  Files
+   are read one segment at a time, so a divergence in a later world is
+   reported under that world's header after the earlier ones. *)
 let test_diff_cli_exit_status () =
   let events = List.filteri (fun i _ -> i < 200) (record_scenario 5) in
   let file segments =
@@ -294,27 +296,35 @@ let test_diff_cli_exit_status () =
     path
   in
   let late = change_at 150 (fun e -> { e with Obs.Event.time = Float.succ e.Obs.Event.time }) in
-  let base = file [ ("w", events) ] in
+  let one = [ ("w", events) ] and two = [ ("w", events); ("x", events) ] in
   List.iter
-    (fun (what, segments, code, expect) ->
-      let other = file segments and out = Filename.temp_file "trace" ".out" in
+    (fun (what, left, right, code, expect) ->
+      let base = file left and other = file right and out = Filename.temp_file "trace" ".out" in
       let got =
         Sys.command
           (Printf.sprintf "../bin/weakset_trace.exe diff %s %s > %s" (Filename.quote base)
              (Filename.quote other) (Filename.quote out))
       in
       let stdout = In_channel.with_open_text out In_channel.input_all in
-      Sys.remove other;
-      Sys.remove out;
+      List.iter Sys.remove [ base; other; out ];
       check_int (what ^ ": exit code") code got;
       check_bool (what ^ ": says so") true (contains stdout expect))
     [
-      ("identical", [ ("w", events) ], 0, "identical: 200 events");
-      ("one event differs", [ ("w", late events) ], 1, "diverged after 150 common events");
-      ("an extra world", [ ("w", events); ("x", events) ], 1, "has 1 extra world(s)");
-      ("a world renamed", [ ("v", events) ], 1, "names differ");
-    ];
-  Sys.remove base
+      ("identical", one, [ ("w", events) ], 0, "identical: 200 events");
+      ("one event differs", one, [ ("w", late events) ], 1, "diverged after 150 common events");
+      ("an extra world", one, two, 1, "has 1 extra world(s)");
+      ("a world renamed", one, [ ("v", events) ], 1, "names differ");
+      ( "a later world differs",
+        two,
+        [ ("w", events); ("x", late events) ],
+        1,
+        "== world: w ==\nidentical: 200 events" );
+      ( "a later world differs, shown",
+        two,
+        [ ("w", events); ("x", late events) ],
+        1,
+        "== world: x ==\ndiverged after 150 common events" );
+    ]
 
 let () =
   Alcotest.run "weakset_trace"
